@@ -1022,9 +1022,7 @@ let all_pass r = r.r_failures = []
 
 module Json = Rgpdos_util.Json
 
-let schema_id = "rgpdos-model-check/1"
-
-let to_json ?(wall_ms = 0.0) r =
+let to_json r =
   let num i = Json.Num (float_of_int i) in
   let failure_obj f =
     Json.Obj
@@ -1041,7 +1039,6 @@ let to_json ?(wall_ms = 0.0) r =
   in
   Json.Obj
     [
-      ("schema", Json.Str schema_id);
       ("seed", num r.r_seed);
       ("scripts", num r.r_scripts);
       ("ops_checked", num r.r_ops_checked);
@@ -1053,7 +1050,6 @@ let to_json ?(wall_ms = 0.0) r =
       ("conformance_pct", Json.Num (conformance_pct r));
       ("all_pass", Json.Bool (all_pass r));
       ("failures", Json.List (List.map failure_obj r.r_failures));
-      ("wall_ms", Json.Num wall_ms);
     ]
 
 let render r =

@@ -139,11 +139,7 @@ val find_counterexample :
 val conformance_pct : report -> float
 val all_pass : report -> bool
 
-val schema_id : string
-(** ["rgpdos-model-check/1"]. *)
-
-val to_json : ?wall_ms:float -> report -> Rgpdos_util.Json.t
-(** The BENCH_model_check.json payload.  Deterministic modulo
-    [wall_ms]. *)
+val to_json : report -> Rgpdos_util.Json.t
+(** The detail of BENCH_model_check.json.  Deterministic. *)
 
 val render : report -> string

@@ -1,1552 +1,233 @@
 module Json = Rgpdos_util.Json
 
-type micro_row = { name : string; ns_per_op : float; r2 : float }
+type cmp = Ge | Gt | Le | Lt
+type better = Higher | Lower
 
-let schema_id = "rgpdos-bench-hotpath/1"
+type gate =
+  | Bar of cmp * float
+  | Exact of float
+  | Rel of { better : better; tol : float; slack : float }
 
-let micro_json rows =
-  Json.List
-    (List.map
-       (fun { name; ns_per_op; r2 } ->
-         Json.Obj
-           [
-             ("name", Json.Str name);
-             ("ns_per_op", Json.Num ns_per_op);
-             ("r2", Json.Num r2);
-           ])
-       rows)
+type 'r metric = {
+  name : string;
+  unit : string;
+  gates : gate list;
+  value : 'r -> float;
+}
 
-let device_json counters =
-  Json.Obj (List.map (fun (k, v) -> (k, Json.Num (float_of_int v))) counters)
+type 'r spec = {
+  name : string;
+  title : string;
+  artifact : string;
+  run : quick:bool -> 'r;
+  render : 'r -> string;
+  detail : 'r -> Json.t;
+  metrics : 'r metric list;
+}
 
-(* merge ratio: per-block reads per seek actually charged — the vectored
-   path's whole point is pushing this far above 1.0 *)
-let merge_ratio counters =
-  let get k = match List.assoc_opt k counters with Some v -> v | None -> 0 in
-  let runs = get "merged_runs" in
-  if runs = 0 then 1.0 else float_of_int (get "reads") /. float_of_int runs
+type section = Section : 'r spec -> section
 
-let e1_json (r : Experiments.e1_result) wall_ms =
+type report = {
+  section : string;
+  quick : bool;
+  wall_ms : float;
+  values : (string * float) list;
+  detail : Json.t;
+}
+
+let schema_id = "rgpdos-bench/2"
+
+let name (Section s) = s.name
+let artifact (Section s) = s.artifact
+
+let declared (Section s) =
+  List.map (fun (m : _ metric) -> (m.name, m.unit, m.gates)) s.metrics
+
+let measure spec ~quick ~wall_ms r =
+  {
+    section = spec.name;
+    quick;
+    wall_ms;
+    values = List.map (fun (m : _ metric) -> (m.name, m.value r)) spec.metrics;
+    detail = spec.detail r;
+  }
+
+(* host wall clock, not [Sys.time]: process CPU time sums across the
+   domains a section fans out to and ticks in ~10 ms steps *)
+let run (Section spec) ~quick =
+  let t0 = Unix.gettimeofday () in
+  let r = spec.run ~quick in
+  let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  (measure spec ~quick ~wall_ms r, spec.render r)
+
+(* ---------- gates ---------- *)
+
+let cmp_holds cmp v bar =
+  match cmp with Ge -> v >= bar | Gt -> v > bar | Le -> v <= bar | Lt -> v < bar
+
+let cmp_symbol = function Ge -> ">=" | Gt -> ">" | Le -> "<=" | Lt -> "<"
+
+let describe = function
+  | Bar (cmp, bar) -> Printf.sprintf "%s %g" (cmp_symbol cmp) bar
+  | Exact x -> Printf.sprintf "= %g" x
+  | Rel { better; tol; slack } ->
+      Printf.sprintf "%s committed %s%g%%%s"
+        (match better with Higher -> ">=" | Lower -> "<=")
+        (match better with Higher -> "-" | Lower -> "+")
+        (100.0 *. tol)
+        (if slack > 0.0 then Printf.sprintf " (or within %g)" slack else "")
+
+(* the worst fresh value a relative gate accepts: [tol] of the committed
+   figure, widened to an absolute [slack] where that is larger *)
+let rel_limit ~better ~tol ~slack committed =
+  match better with
+  | Higher -> Float.min (committed *. (1.0 -. tol)) (committed -. slack)
+  | Lower -> Float.max (committed *. (1.0 +. tol)) (committed +. slack)
+
+(* Absolute and exact gates.  Every declared metric must be present and
+   a number; relative gates need the committed figure, see [compare]. *)
+let validate (Section spec) (r : report) =
+  List.concat_map
+    (fun (m : _ metric) ->
+      match List.assoc_opt m.name r.values with
+      | None -> [ m.name ^ ": missing" ]
+      | Some v when Float.is_nan v -> [ m.name ^ ": not a number" ]
+      | Some v ->
+          List.filter_map
+            (fun g ->
+              let ok =
+                match g with
+                | Bar (cmp, bar) -> cmp_holds cmp v bar
+                | Exact x -> v = x
+                | Rel _ -> true
+              in
+              if ok then None
+              else
+                Some
+                  (Printf.sprintf "%s = %g %s, gate %s" m.name v m.unit
+                     (describe g)))
+            m.gates)
+    spec.metrics
+
+(* The committed artifact is held to the same absolute bars as the fresh
+   run; every metric it records must still exist in the fresh run; and
+   the relative gates compare the two. *)
+let compare (Section spec as s) ~(committed : report) ~(fresh : report) =
+  let held = List.map (fun l -> "committed " ^ l) (validate s committed) in
+  let vanished =
+    List.filter_map
+      (fun (name, v) ->
+        if List.mem_assoc name fresh.values then None
+        else
+          Some
+            (Printf.sprintf "%s: vanished from the fresh run (committed %g)"
+               name v))
+      committed.values
+  in
+  let relative =
+    List.concat_map
+      (fun (m : _ metric) ->
+        match
+          ( List.assoc_opt m.name committed.values,
+            List.assoc_opt m.name fresh.values )
+        with
+        | Some old, Some cur ->
+            List.filter_map
+              (function
+                | Rel { better; tol; slack } as g ->
+                    let limit = rel_limit ~better ~tol ~slack old in
+                    let ok =
+                      match better with
+                      | Higher -> cur >= limit
+                      | Lower -> cur <= limit
+                    in
+                    if ok then None
+                    else
+                      Some
+                        (Printf.sprintf
+                           "%s regressed: committed %g -> fresh %g %s (limit \
+                            %g, gate %s)"
+                           m.name old cur m.unit limit (describe g))
+                | Bar _ | Exact _ -> None)
+              m.gates
+        | _ -> [])
+      spec.metrics
+  in
+  held @ vanished @ relative
+
+(* ---------- JSON and files ---------- *)
+
+let to_json (Section spec) (r : report) =
+  let unit_of name =
+    match List.find_opt (fun (m : _ metric) -> m.name = name) spec.metrics with
+    | Some m -> m.unit
+    | None -> ""
+  in
   Json.Obj
     [
-      ("subjects", Json.Num (float_of_int r.Experiments.e1_subjects));
-      ( "stage_ns",
+      ("schema", Json.Str schema_id);
+      ("section", Json.Str r.section);
+      ("quick", Json.Bool r.quick);
+      ("wall_ms", Json.Num r.wall_ms);
+      ( "metrics",
         Json.Obj
           (List.map
-             (fun (stage, ns) -> (stage, Json.Num (float_of_int ns)))
-             r.Experiments.e1_stage_ns) );
-      ("total_sim_ns", Json.Num (float_of_int r.Experiments.e1_total_ns));
-      ("device", device_json r.Experiments.e1_device);
-      ("merge_ratio", Json.Num (merge_ratio r.Experiments.e1_device));
-      ("wall_ms", Json.Num wall_ms);
+             (fun (name, v) ->
+               ( name,
+                 Json.Obj
+                   [ ("value", Json.Num v); ("unit", Json.Str (unit_of name)) ] ))
+             r.values) );
+      ("detail", r.detail);
     ]
 
-let e4_json (rows : Experiments.e4_row list) wall_ms =
-  Json.Obj
-    [
-      ( "rows",
-        Json.List
-          (List.map
-             (fun (row : Experiments.e4_row) ->
-               Json.Obj
-                 [
-                   ( "records_per_subject",
-                     Json.Num (float_of_int row.Experiments.e4_records_per_subject)
-                   );
-                   ("sim_us", Json.Num row.Experiments.e4_sim_us);
-                   ( "export_complete",
-                     Json.Bool row.Experiments.e4_export_complete );
-                 ])
-             rows) );
-      ("wall_ms", Json.Num wall_ms);
-    ]
+let of_json (Section spec) v =
+  let str k = Option.bind (Json.member k v) Json.to_str in
+  match (str "schema", str "section", Json.member "metrics" v) with
+  | None, _, _ -> Error "missing schema key"
+  | Some id, _, _ when id <> schema_id -> Error ("unexpected schema id " ^ id)
+  | _, Some section, _ when section <> spec.name ->
+      Error (Printf.sprintf "artifact is for section %s, not %s" section spec.name)
+  | _, None, _ -> Error "missing section key"
+  | _, Some section, Some (Json.Obj metrics) ->
+      let value m =
+        match Option.bind (Json.member "value" m) Json.to_float with
+        | Some f -> f
+        | None -> Float.nan
+      in
+      Ok
+        {
+          section;
+          quick = Json.member "quick" v = Some (Json.Bool true);
+          wall_ms =
+            Option.value ~default:Float.nan
+              (Option.bind (Json.member "wall_ms" v) Json.to_float);
+          values = List.map (fun (k, m) -> (k, value m)) metrics;
+          detail = Option.value ~default:Json.Null (Json.member "detail" v);
+        }
+  | _, Some _, _ -> Error "missing metrics object"
 
-let make ~quick ~micro ?e1 ?e4 () =
-  let opt key f = function Some v -> [ (key, f v) ] | None -> [] in
-  Json.Obj
-    ([
-       ("schema", Json.Str schema_id);
-       ("quick", Json.Bool quick);
-       ("micro", micro_json micro);
-     ]
-    @ opt "e1" (fun (r, w) -> e1_json r w) e1
-    @ opt "e4" (fun (r, w) -> e4_json r w) e4)
-
-(* ---------- validation ---------- *)
-
-let ( let* ) = Result.bind
-
-let require msg = function Some v -> Ok v | None -> Error msg
-
-let check_micro v =
-  let* rows = require "micro: not a list" (Json.to_list v) in
-  if rows = [] then Error "micro: empty"
-  else
-    let* named =
-      List.fold_left
-        (fun acc row ->
-          let* acc = acc in
-          let* name =
-            require "micro row: missing name"
-              (Option.bind (Json.member "name" row) Json.to_str)
-          in
-          let* ns =
-            require (name ^ ": missing ns_per_op")
-              (Option.bind (Json.member "ns_per_op" row) Json.to_float)
-          in
-          if ns <= 0.0 || Float.is_nan ns then
-            Error (name ^ ": non-positive ns_per_op")
-          else Ok (name :: acc))
-        (Ok []) rows
-    in
-    let has suffix =
-      List.exists
-        (fun n ->
-          String.length n >= String.length suffix
-          && String.sub n
-               (String.length n - String.length suffix)
-               (String.length suffix)
-             = suffix)
-        named
-    in
-    let missing =
-      List.filter
-        (fun s -> not (has s))
-        [ "sha256/1KiB"; "chacha20/1KiB"; "audit/append" ]
-    in
-    if missing <> [] then
-      Error ("micro: missing hot-path rows: " ^ String.concat ", " missing)
-    else Ok ()
-
-let check_e1 v =
-  let* _ =
-    require "e1: missing total_sim_ns"
-      (Option.bind (Json.member "total_sim_ns" v) Json.to_float)
-  in
-  let* stages =
-    require "e1: missing stage_ns"
-      (match Json.member "stage_ns" v with
-      | Some (Json.Obj kvs) -> Some kvs
-      | _ -> None)
-  in
-  if stages = [] then Error "e1: empty stage_ns" else Ok ()
-
-let check_e4 v =
-  let* rows =
-    require "e4: missing rows"
-      (Option.bind (Json.member "rows" v) Json.to_list)
-  in
-  if rows = [] then Error "e4: empty rows"
-  else
-    List.fold_left
-      (fun acc row ->
-        let* () = acc in
-        let* _ =
-          require "e4 row: missing sim_us"
-            (Option.bind (Json.member "sim_us" row) Json.to_float)
-        in
-        Ok ())
-      (Ok ()) rows
-
-let validate v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> schema_id then Error ("unexpected schema id " ^ schema)
-  else
-    let* micro = require "missing micro section" (Json.member "micro" v) in
-    let* () = check_micro micro in
-    let* () =
-      match Json.member "e1" v with Some e1 -> check_e1 e1 | None -> Ok ()
-    in
-    match Json.member "e4" v with Some e4 -> check_e4 e4 | None -> Ok ()
-
-let write_file path v =
+let write_file section path r =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string v))
+    (fun () -> output_string oc (Json.to_string (to_json section r)))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let raw =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Result.to_option (Json.of_string raw)
+let read_file section path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic ->
+      let raw =
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      Result.bind (Json.of_string raw) (of_json section)
 
-(* ---------- vectored-IO artifact ---------- *)
-
-let vectored_schema_id = "rgpdos-bench-vectored-io/1"
-
-let stage_of r name =
-  match List.assoc_opt name r.Experiments.e1_stage_ns with
-  | Some ns -> ns
-  | None -> 0
-
-let pct_reduction ~before ~after =
-  if before <= 0.0 then 0.0 else 100.0 *. (before -. after) /. before
-
-(* The committed before/after evidence for the vectored path: the same E1
-   population and scale run twice on the same build — once with the
-   device's scalar cost model (one seek per block), once with run-merging
-   vectored charging — plus a per-subject comparison against the earlier
-   committed hotpath artifact, whose E1 ran at a smaller scale. *)
-let make_vectored ~scalar ~scalar_wall_ms ~vectored ~vectored_wall_ms
-    ?baseline () =
-  let load_stages = [ "ded_load_membrane"; "ded_load_data" ] in
-  let loads r =
-    List.fold_left (fun acc s -> acc + stage_of r s) 0 load_stages
-  in
-  let reductions =
-    List.map
-      (fun s ->
-        ( s,
-          Json.Num
-            (pct_reduction
-               ~before:(float_of_int (stage_of scalar s))
-               ~after:(float_of_int (stage_of vectored s))) ))
-      load_stages
-    @ [
-        ( "load_stages_combined",
-          Json.Num
-            (pct_reduction
-               ~before:(float_of_int (loads scalar))
-               ~after:(float_of_int (loads vectored))) );
-        ( "total",
-          Json.Num
-            (pct_reduction
-               ~before:(float_of_int scalar.Experiments.e1_total_ns)
-               ~after:(float_of_int vectored.Experiments.e1_total_ns)) );
-      ]
-  in
-  let baseline_section =
-    match baseline with
-    | None -> []
-    | Some b ->
-        (* normalise per subject: the hotpath artifact's E1 ran at a
-           different scale than this one *)
-        let b_subjects =
-          match
-            Option.bind (Json.member "e1" b) (fun e1 ->
-                Option.bind (Json.member "subjects" e1) Json.to_float)
-          with
-          | Some n when n > 0.0 -> n
-          | _ -> 1.0
-        in
-        let b_stage name =
-          match
-            Option.bind (Json.member "e1" b) (fun e1 ->
-                Option.bind (Json.member "stage_ns" e1) (fun stages ->
-                    Option.bind (Json.member name stages) Json.to_float))
-          with
-          | Some ns -> ns
-          | None -> 0.0
-        in
-        let v_subjects = float_of_int vectored.Experiments.e1_subjects in
-        let per_subject_reductions =
-          List.map
-            (fun s ->
-              ( s,
-                Json.Num
-                  (pct_reduction
-                     ~before:(b_stage s /. b_subjects)
-                     ~after:(float_of_int (stage_of vectored s) /. v_subjects))
-              ))
-            load_stages
-          @ [
-              ( "load_stages_combined",
-                Json.Num
-                  (pct_reduction
-                     ~before:
-                       (List.fold_left
-                          (fun acc s -> acc +. b_stage s)
-                          0.0 load_stages
-                       /. b_subjects)
-                     ~after:(float_of_int (loads vectored) /. v_subjects)) );
-            ]
-        in
-        [
-          ( "baseline",
-            Json.Obj
-              [
-                ("source", Json.Str "BENCH_hotpath.json");
-                ("subjects", Json.Num b_subjects);
-                ( "load_ns_per_subject",
-                  Json.Obj
-                    (List.map
-                       (fun s -> (s, Json.Num (b_stage s /. b_subjects)))
-                       load_stages) );
-                ("reduction_per_subject_pct", Json.Obj per_subject_reductions);
-              ] );
-        ]
-  in
-  Json.Obj
-    ([
-       ("schema", Json.Str vectored_schema_id);
-       ("scalar", e1_json scalar scalar_wall_ms);
-       ("vectored", e1_json vectored vectored_wall_ms);
-       ("reduction_pct", Json.Obj reductions);
-     ]
-    @ baseline_section)
-
-let validate_vectored v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> vectored_schema_id then Error ("unexpected schema id " ^ schema)
+let compare_dir ~dir section fresh =
+  let path = Filename.concat dir (artifact section) in
+  if not (Sys.file_exists path) then [ "missing committed artifact " ^ path ]
   else
-    let* scalar = require "missing scalar section" (Json.member "scalar" v) in
-    let* () = check_e1 scalar in
-    let* vectored =
-      require "missing vectored section" (Json.member "vectored" v)
-    in
-    let* () = check_e1 vectored in
-    let* reductions =
-      require "missing reduction_pct" (Json.member "reduction_pct" v)
-    in
-    let red name =
-      require
-        ("reduction_pct: missing " ^ name)
-        (Option.bind (Json.member name reductions) Json.to_float)
-    in
-    let* membrane = red "ded_load_membrane" in
-    let* data = red "ded_load_data" in
-    let* combined = red "load_stages_combined" in
-    if membrane < 30.0 || data < 30.0 || combined < 30.0 then
-      Error
-        (Printf.sprintf
-           "load-stage reduction below the 30%% bar: membrane %.1f%%, data \
-            %.1f%%, combined %.1f%%"
-           membrane data combined)
-    else Ok ()
-
-(* ---------- regression comparison (bench --compare) ---------- *)
-
-(* Compare a freshly measured E1 against the E1 section of a previously
-   committed report.  Stage times are normalised per subject (the two runs
-   may be at different scales) and a stage only counts as regressed when
-   it is both >25% slower AND at least [epsilon_ns] absolute per subject
-   slower — the fixed-cost stages (ded_type2req at 1000 ns, ded_return at
-   200 ns) would otherwise trip the percentage gate on constant-cost noise
-   at different scales. *)
-let regression_threshold_pct = 25.0
-
-let epsilon_ns_per_subject = 50.0
-
-let compare_e1 ~old_report (current : Experiments.e1_result) =
-  match Json.member "e1" old_report with
-  | None -> Error [ "old report has no e1 section" ]
-  | Some old_e1 ->
-      let old_subjects =
-        match
-          Option.bind (Json.member "subjects" old_e1) Json.to_float
-        with
-        | Some n when n > 0.0 -> n
-        | _ -> 1.0
-      in
-      let old_stages =
-        match Json.member "stage_ns" old_e1 with
-        | Some (Json.Obj kvs) ->
-            List.filter_map
-              (fun (k, v) -> Option.map (fun f -> (k, f)) (Json.to_float v))
-              kvs
-        | _ -> []
-      in
-      let cur_subjects = float_of_int current.Experiments.e1_subjects in
-      let regressions =
-        List.filter_map
-          (fun (stage, old_ns) ->
-            match List.assoc_opt stage current.Experiments.e1_stage_ns with
-            | None -> Some (stage ^ ": stage disappeared from E1")
-            | Some cur_ns ->
-                let old_ps = old_ns /. old_subjects in
-                let cur_ps = float_of_int cur_ns /. cur_subjects in
-                if
-                  cur_ps > old_ps *. (1.0 +. (regression_threshold_pct /. 100.0))
-                  && cur_ps -. old_ps > epsilon_ns_per_subject
-                then
-                  Some
-                    (Printf.sprintf
-                       "%s: %.1f ns/subject -> %.1f ns/subject (+%.1f%%)"
-                       stage old_ps cur_ps
-                       (100.0 *. ((cur_ps /. old_ps) -. 1.0)))
-                else None)
-          old_stages
-      in
-      if regressions = [] then Ok (List.length old_stages) else Error regressions
-
-(* ---------- parallel-scale artifact ---------- *)
-
-let scale_schema_id = "rgpdos-bench-parallel-scale/1"
-
-type scale_row = {
-  domains : int;
-  sim_critical_ns : int;
-  sim_total_ns : int;
-  kops_per_sim_s : float;
-  wall_s : float;
-  speedup : float;
-}
-
-let speedup_bar = 2.5
-
-let scale_row_of_report ~baseline (r : Shard_bench.report) =
-  {
-    domains = r.Shard_bench.shards;
-    sim_critical_ns = r.Shard_bench.sim_critical_ns;
-    sim_total_ns = r.Shard_bench.sim_total_ns;
-    kops_per_sim_s = r.Shard_bench.kops_per_sim_s;
-    wall_s = r.Shard_bench.wall_seconds;
-    speedup = Shard_bench.speedup ~baseline r;
-  }
-
-let make_scale ~role ~subjects ~total_ops ~rows ~e1_seq ~e1_par ~e1_cores () =
-  let exec r = stage_of r "ded_execute" in
-  Json.Obj
-    [
-      ("schema", Json.Str scale_schema_id);
-      ("role", Json.Str role);
-      ("subjects", Json.Num (float_of_int subjects));
-      ("total_ops", Json.Num (float_of_int total_ops));
-      ( "scale",
-        Json.List
-          (List.map
-             (fun row ->
-               Json.Obj
-                 [
-                   ("domains", Json.Num (float_of_int row.domains));
-                   ( "sim_critical_ns",
-                     Json.Num (float_of_int row.sim_critical_ns) );
-                   ("sim_total_ns", Json.Num (float_of_int row.sim_total_ns));
-                   ("kops_per_sim_s", Json.Num row.kops_per_sim_s);
-                   ("wall_s", Json.Num row.wall_s);
-                   ("speedup", Json.Num row.speedup);
-                 ])
-             rows) );
-      ( "e1_ded_execute",
-        Json.Obj
-          [
-            ( "subjects",
-              Json.Num (float_of_int e1_par.Experiments.e1_subjects) );
-            ("cores", Json.Num (float_of_int e1_cores));
-            ("sequential_ns", Json.Num (float_of_int (exec e1_seq)));
-            ("parallel_ns", Json.Num (float_of_int (exec e1_par)));
-            ( "reduction_pct",
-              Json.Num
-                (pct_reduction
-                   ~before:(float_of_int (exec e1_seq))
-                   ~after:(float_of_int (exec e1_par))) );
-          ] );
-    ]
-
-let scale_speedup_at v domains =
-  match Option.bind (Json.member "scale" v) Json.to_list with
-  | None -> None
-  | Some rows ->
-      List.find_map
-        (fun row ->
-          match
-            ( Option.bind (Json.member "domains" row) Json.to_float,
-              Option.bind (Json.member "speedup" row) Json.to_float )
-          with
-          | Some d, Some s when int_of_float d = domains -> Some s
-          | _ -> None)
-        rows
-
-let validate_scale v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> scale_schema_id then Error ("unexpected schema id " ^ schema)
-  else
-    let* rows =
-      require "missing scale section"
-        (Option.bind (Json.member "scale" v) Json.to_list)
-    in
-    if rows = [] then Error "scale: empty"
-    else
-      let* () =
-        List.fold_left
-          (fun acc row ->
-            let* () = acc in
-            let* d =
-              require "scale row: missing domains"
-                (Option.bind (Json.member "domains" row) Json.to_float)
-            in
-            let* c =
-              require "scale row: missing sim_critical_ns"
-                (Option.bind (Json.member "sim_critical_ns" row) Json.to_float)
-            in
-            if d < 1.0 || c <= 0.0 then
-              Error "scale row: non-positive domains or sim_critical_ns"
-            else Ok ())
-          (Ok ()) rows
-      in
-      let* s4 =
-        require "scale: no 4-domain row" (scale_speedup_at v 4)
-      in
-      if s4 < speedup_bar then
-        Error
-          (Printf.sprintf "4-domain speedup %.2fx below the %.1fx bar" s4
-             speedup_bar)
-      else
-        let* e1 =
-          require "missing e1_ded_execute section"
-            (Json.member "e1_ded_execute" v)
-        in
-        let* reduction =
-          require "e1_ded_execute: missing reduction_pct"
-            (Option.bind (Json.member "reduction_pct" e1) Json.to_float)
-        in
-        if reduction <= 0.0 then
-          Error
-            (Printf.sprintf
-               "parallel ded_execute shows no reduction (%.1f%%)" reduction)
-        else Ok ()
-
-(* ---------- sibling-artifact regression gates (bench --compare) ---------- *)
-
-let compare_vectored ~old_report ~subjects ~merge_ratio =
-  (* the merge ratio grows with the dataset (a bigger table is a longer
-     contiguous extent), so the gate compares blocks-per-seek *per
-     subject* — scale-invariant between a --quick CI run and the
-     full-scale committed artifact *)
-  let field name =
-    Option.bind (Json.member "vectored" old_report) (fun v ->
-        Option.bind (Json.member name v) Json.to_float)
-  in
-  match (field "merge_ratio", field "subjects") with
-  | None, _ -> Error "old vectored report has no vectored.merge_ratio"
-  | _, (None | Some 0.) -> Error "old vectored report has no vectored.subjects"
-  | Some old_ratio, Some old_subjects ->
-      let old_norm = old_ratio /. old_subjects in
-      let current_norm = merge_ratio /. float_of_int (max subjects 1) in
-      let floor = old_norm *. (1.0 -. (regression_threshold_pct /. 100.0)) in
-      if current_norm < floor then
-        Error
-          (Printf.sprintf
-             "merge ratio regressed: %.4f -> %.4f blocks/seek per subject \
-              (floor %.4f = committed -%.0f%%)"
-             old_norm current_norm floor regression_threshold_pct)
-      else Ok old_ratio
-
-(* ---------- index-select artifact ---------- *)
-
-let index_schema_id = "rgpdos-bench-index-select/1"
-
-(* acceptance bars: pushdown must beat the full scan by >= 10x on the 1%
-   Eq probe at 2000+ subjects, and the expiry-queue sweep must beat the
-   full membrane scan by >= 2x at the largest aged population *)
-let index_speedup_bar = 10.0
-
-let ttl_speedup_bar = 2.0
-
-let make_index ~(result : Experiments.eidx_result) ~wall_ms =
-  Json.Obj
-    [
-      ("schema", Json.Str index_schema_id);
-      ( "select",
-        Json.List
-          (List.map
-             (fun (row : Experiments.eidx_select_row) ->
-               Json.Obj
-                 [
-                   ( "population",
-                     Json.Num (float_of_int row.Experiments.eidx_population) );
-                   ("probe", Json.Str row.Experiments.eidx_probe);
-                   ( "selectivity_pct",
-                     Json.Num row.Experiments.eidx_selectivity_pct );
-                   ( "matches",
-                     Json.Num (float_of_int row.Experiments.eidx_matches) );
-                   ( "scan_sim_ns",
-                     Json.Num (float_of_int row.Experiments.eidx_scan_ns) );
-                   ( "index_sim_ns",
-                     Json.Num (float_of_int row.Experiments.eidx_index_ns) );
-                   ("speedup", Json.Num row.Experiments.eidx_speedup);
-                 ])
-             result.Experiments.eidx_select) );
-      ( "ttl",
-        Json.List
-          (List.map
-             (fun (row : Experiments.eidx_ttl_row) ->
-               Json.Obj
-                 [
-                   ( "population",
-                     Json.Num (float_of_int row.Experiments.eidx_ttl_population)
-                   );
-                   ( "expired",
-                     Json.Num (float_of_int row.Experiments.eidx_ttl_expired) );
-                   ( "full_sim_ns",
-                     Json.Num (float_of_int row.Experiments.eidx_ttl_full_ns) );
-                   ( "incremental_sim_ns",
-                     Json.Num (float_of_int row.Experiments.eidx_ttl_incr_ns) );
-                   ("speedup", Json.Num row.Experiments.eidx_ttl_speedup);
-                 ])
-             result.Experiments.eidx_ttl) );
-      ("wall_ms", Json.Num wall_ms);
-    ]
-
-(* the gated select row: the 1%-selectivity Eq probe at the smallest
-   population >= 2000 — the headline configuration both the quick smoke
-   run and the full-scale committed artifact include, so the gate
-   compares like against like (the speedup itself grows with the
-   population: scan cost is O(n), probe cost is O(matches)) *)
-let index_gate_row v =
-  match Option.bind (Json.member "select" v) Json.to_list with
-  | None -> None
-  | Some rows ->
-      List.fold_left
-        (fun best row ->
-          match
-            ( Option.bind (Json.member "selectivity_pct" row) Json.to_float,
-              Option.bind (Json.member "population" row) Json.to_float,
-              Option.bind (Json.member "speedup" row) Json.to_float )
-          with
-          | Some sel, Some pop, Some speedup
-            when sel = 1.0 && pop >= 2_000.0 -> (
-              match best with
-              | Some (bp, _) when bp <= pop -> best
-              | _ -> Some (pop, speedup))
-          | _ -> best)
-        None rows
-
-let index_ttl_gate_row v =
-  match Option.bind (Json.member "ttl" v) Json.to_list with
-  | None -> None
-  | Some rows ->
-      List.fold_left
-        (fun best row ->
-          match
-            ( Option.bind (Json.member "population" row) Json.to_float,
-              Option.bind (Json.member "speedup" row) Json.to_float )
-          with
-          | Some pop, Some speedup -> (
-              match best with
-              | Some (bp, _) when bp >= pop -> best
-              | _ -> Some (pop, speedup))
-          | _ -> best)
-        None rows
-
-let validate_index v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> index_schema_id then Error ("unexpected schema id " ^ schema)
-  else
-    let* rows =
-      require "missing select section"
-        (Option.bind (Json.member "select" v) Json.to_list)
-    in
-    if rows = [] then Error "select: empty"
-    else
-      let* () =
-        List.fold_left
-          (fun acc row ->
-            let* () = acc in
-            let* scan =
-              require "select row: missing scan_sim_ns"
-                (Option.bind (Json.member "scan_sim_ns" row) Json.to_float)
-            in
-            let* index =
-              require "select row: missing index_sim_ns"
-                (Option.bind (Json.member "index_sim_ns" row) Json.to_float)
-            in
-            if scan < 0.0 || index < 0.0 then
-              Error "select row: negative simulated time"
-            else Ok ())
-          (Ok ()) rows
-      in
-      let* _, speedup =
-        require "select: no 1%-selectivity row at population >= 2000"
-          (index_gate_row v)
-      in
-      if speedup < index_speedup_bar then
-        Error
-          (Printf.sprintf
-             "1%%-selectivity pushdown speedup %.1fx below the %.0fx bar"
-             speedup index_speedup_bar)
-      else
-        let* _, ttl_speedup =
-          require "ttl: empty section" (index_ttl_gate_row v)
-        in
-        if ttl_speedup < ttl_speedup_bar then
-          Error
-            (Printf.sprintf
-               "incremental TTL sweep speedup %.1fx below the %.1fx bar"
-               ttl_speedup ttl_speedup_bar)
-        else Ok ()
-
-let compare_index ~old_report ~speedup1pct:current =
-  match index_gate_row old_report with
-  | None -> Error "old index report has no 1%-selectivity row at >= 2000"
-  | Some (_, old_speedup) ->
-      let floor = old_speedup *. (1.0 -. (regression_threshold_pct /. 100.0)) in
-      if current < floor then
-        Error
-          (Printf.sprintf
-             "1%%-selectivity pushdown speedup regressed: %.1fx -> %.1fx \
-              (floor %.1fx = committed -%.0f%%)"
-             old_speedup current floor regression_threshold_pct)
-      else Ok old_speedup
-
-let compare_scale ~old_report ~speedup4:current =
-  match scale_speedup_at old_report 4 with
-  | None -> Error "old scale report has no 4-domain row"
-  | Some old_speedup ->
-      let floor = old_speedup *. (1.0 -. (regression_threshold_pct /. 100.0)) in
-      if current < floor then
-        Error
-          (Printf.sprintf
-             "4-domain speedup regressed: %.2fx -> %.2fx (floor %.2fx = \
-              committed -%.0f%%)"
-             old_speedup current floor regression_threshold_pct)
-      else Ok old_speedup
-
-(* ---------- fault-campaign artifact ---------- *)
-
-let fault_schema_id = "rgpdos-fault-campaign/1"
-
-(* the robustness artifact's bar is absolute, not a regression threshold:
-   every invariant must hold at every crash point and every scenario must
-   pass *)
-let fault_pass_bar = 100.0
-
-let make_fault ~(result : Fault_campaign.result) ?wall_ms () =
-  Fault_campaign.to_json ?wall_ms result
-
-let validate_fault v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> fault_schema_id then Error ("unexpected schema id " ^ schema)
-  else
-    let* total =
-      require "missing total_writes"
-        (Option.bind (Json.member "total_writes" v) Json.to_float)
-    in
-    let* points =
-      require "missing points section"
-        (Option.bind (Json.member "points" v) Json.to_list)
-    in
-    let* sampled =
-      require "missing sampled flag"
-        (match Json.member "sampled" v with
-        | Some (Json.Bool b) -> Some b
-        | _ -> None)
-    in
-    if total <= 0.0 then Error "total_writes must be positive"
-    else if points = [] then Error "points: empty"
-    else
-      let* ordinals =
-        List.fold_left
-          (fun acc row ->
-            let* acc = acc in
-            let* w =
-              require "point: missing write ordinal"
-                (Option.bind (Json.member "write" row) Json.to_float)
-            in
-            let* () =
-              List.fold_left
-                (fun acc key ->
-                  let* () = acc in
-                  match Json.member key row with
-                  | Some (Json.Bool _) -> Ok ()
-                  | _ -> Error ("point: missing " ^ key))
-                (Ok ())
-                [ "residue_free"; "audit_ok"; "fsck_clean" ]
-            in
-            Ok (int_of_float w :: acc))
-          (Ok []) points
-      in
-      let* () =
-        if sampled then Ok ()
-        else
-          (* exhaustive claim: every write ordinal 1..total crashed once *)
-          let expected = List.init (int_of_float total) (fun i -> i + 1) in
-          if List.sort_uniq compare ordinals = expected then Ok ()
-          else
-            Error
-              (Printf.sprintf
-                 "campaign claims exhaustive but covers %d of %.0f crash \
-                  points"
-                 (List.length (List.sort_uniq compare ordinals))
-                 total)
-      in
-      let* rate =
-        require "missing pass_rate_pct"
-          (Option.bind (Json.member "pass_rate_pct" v) Json.to_float)
-      in
-      if rate < fault_pass_bar then
-        Error
-          (Printf.sprintf "invariant pass rate %.1f%% below the %.0f%% bar"
-             rate fault_pass_bar)
-      else
-        let* scenarios =
-          require "missing scenarios section"
-            (Option.bind (Json.member "scenarios" v) Json.to_list)
-        in
-        if scenarios = [] then Error "scenarios: empty"
-        else
-          List.fold_left
-            (fun acc row ->
-              let* () = acc in
-              let name =
-                match Option.bind (Json.member "name" row) Json.to_str with
-                | Some n -> n
-                | None -> "?"
-              in
-              match Json.member "pass" row with
-              | Some (Json.Bool true) -> Ok ()
-              | Some (Json.Bool false) ->
-                  Error ("scenario failed: " ^ name)
-              | _ -> Error ("scenario " ^ name ^ ": missing pass flag")
-            )
-            (Ok ()) scenarios
-
-let compare_fault ~old_report ~pass_rate_pct:current =
-  match Option.bind (Json.member "pass_rate_pct" old_report) Json.to_float with
-  | None -> Error "old fault report has no pass_rate_pct"
-  | Some old_rate ->
-      if old_rate < fault_pass_bar then
-        Error
-          (Printf.sprintf
-             "committed fault campaign pass rate %.1f%% is below 100%%"
-             old_rate)
-      else if current < fault_pass_bar then
-        Error
-          (Printf.sprintf
-             "fault campaign invariant pass rate dropped to %.1f%% (bar: \
-              every invariant at every crash point)"
-             current)
-      else Ok old_rate
-
-(* ---------- model-refinement artifact ---------- *)
-
-let model_schema_id = "rgpdos-model-check/1"
-
-(* refinement is absolute: the executable model IS the GDPR semantics,
-   and any divergence is a bug on one side or the other — there is no
-   acceptable "small regression" in meaning *)
-let model_conformance_bar = 100.0
-
-let make_model ~(result : Rgpdos_model.Refine.report) ?wall_ms () =
-  Rgpdos_model.Refine.to_json ?wall_ms result
-
-let validate_model v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> model_schema_id then Error ("unexpected schema id " ^ schema)
-  else
-    let pos key =
-      let* n =
-        require ("missing " ^ key)
-          (Option.bind (Json.member key v) Json.to_float)
-      in
-      if n <= 0.0 then Error (key ^ " must be positive") else Ok n
-    in
-    let* _ = pos "scripts" in
-    let* _ = pos "ops_checked" in
-    let* _ = pos "fault_points" in
-    let* crash_runs = pos "crash_runs" in
-    let* configs = pos "crash_configs" in
-    let expected_configs = List.length Rgpdos_model.Refine.all_cfgs in
-    if int_of_float configs <> expected_configs then
-      Error
-        (Printf.sprintf "crash_configs %.0f does not cover the %d-config matrix"
-           configs expected_configs)
-    else if crash_runs < configs then
-      Error "fewer crash runs than crash configs"
-    else
-      let int_list key =
-        let* l =
-          require ("missing " ^ key)
-            (Option.bind (Json.member key v) Json.to_list)
-        in
-        Ok (List.map int_of_float (List.filter_map Json.to_float l))
-      in
-      let* domains = int_list "lin_domains" in
-      if domains <> [ 1; 2; 4 ] then
-        Error "lin_domains must cover 1/2/4 domains"
-      else
-        let* budgets = int_list "cache_budgets" in
-        if budgets <> Rgpdos_model.Refine.budgets then
-          Error "cache_budgets do not match the coherence audit's"
-        else
-          let* rate =
-            require "missing conformance_pct"
-              (Option.bind (Json.member "conformance_pct" v) Json.to_float)
-          in
-          if rate < model_conformance_bar then
-            Error
-              (Printf.sprintf "conformance %.2f%% below the %.0f%% bar" rate
-                 model_conformance_bar)
-          else
-            let* failures =
-              require "missing failures section"
-                (Option.bind (Json.member "failures" v) Json.to_list)
-            in
-            match failures with
-            | [] -> (
-                match Json.member "all_pass" v with
-                | Some (Json.Bool true) -> Ok ()
-                | _ -> Error "all_pass must be true")
-            | f :: _ ->
-                let detail =
-                  match Option.bind (Json.member "detail" f) Json.to_str with
-                  | Some d -> d
-                  | None -> "?"
-                in
-                Error ("refinement counterexample recorded: " ^ detail)
-
-let compare_model ~old_report ~conformance_pct:current =
-  match
-    Option.bind (Json.member "conformance_pct" old_report) Json.to_float
-  with
-  | None -> Error "old model report has no conformance_pct"
-  | Some old_rate ->
-      if old_rate < model_conformance_bar then
-        Error
-          (Printf.sprintf
-             "committed model-check conformance %.2f%% is below 100%%" old_rate)
-      else if current < model_conformance_bar then
-        Error
-          (Printf.sprintf
-             "model refinement conformance dropped to %.2f%% (bar: every \
-              observable, crash run and shard must match the model)"
-             current)
-      else Ok old_rate
-
-(* ---------- mount-scale artifact ---------- *)
-
-let mount_schema_id = "rgpdos-bench-mount-scale/1"
-
-(* acceptance bars: a clean remount's device reads must be
-   population-independent — the largest population reads at most 2x the
-   smallest (the O(1)-recovery claim) — and the Zipf workload's
-   high-water resident cache count must stay inside its budget, with the
-   budget actually binding (evictions happened) so the claim is not
-   vacuous. *)
-let mount_read_ratio_bar = 2.0
-
-let make_mount ~(result : Mount_bench.result) ~wall_ms =
-  let z = result.Mount_bench.mb_zipf in
-  Json.Obj
-    [
-      ("schema", Json.Str mount_schema_id);
-      ( "mount",
-        Json.List
-          (List.map
-             (fun (row : Mount_bench.mount_row) ->
-               Json.Obj
-                 [
-                   ( "subjects",
-                     Json.Num (float_of_int row.Mount_bench.mb_subjects) );
-                   ("build_sim_ms", Json.Num row.Mount_bench.mb_build_sim_ms);
-                   ( "mount_reads",
-                     Json.Num (float_of_int row.Mount_bench.mb_mount_reads) );
-                   ("mount_sim_us", Json.Num row.Mount_bench.mb_mount_sim_us);
-                   ( "resident_after_mount",
-                     Json.Num
-                       (float_of_int row.Mount_bench.mb_resident_after_mount)
-                   );
-                   ( "index_pages",
-                     Json.Num (float_of_int row.Mount_bench.mb_index_pages) );
-                 ])
-             result.Mount_bench.mb_rows) );
-      ("read_ratio_max", Json.Num (Mount_bench.read_ratio result));
-      ( "zipf",
-        Json.Obj
-          [
-            ("subjects", Json.Num (float_of_int z.Mount_bench.zb_subjects));
-            ("ops", Json.Num (float_of_int z.Mount_bench.zb_ops));
-            ("budget", Json.Num (float_of_int z.Mount_bench.zb_budget));
-            ( "resident_max",
-              Json.Num (float_of_int z.Mount_bench.zb_resident_max) );
-            ("hits", Json.Num (float_of_int z.Mount_bench.zb_hits));
-            ("misses", Json.Num (float_of_int z.Mount_bench.zb_misses));
-            ("evictions", Json.Num (float_of_int z.Mount_bench.zb_evictions));
-            ("page_reads", Json.Num (float_of_int z.Mount_bench.zb_page_reads));
-            ("sim_ms", Json.Num z.Mount_bench.zb_sim_ms);
-            ("ops_ok", Json.Bool z.Mount_bench.zb_ops_ok);
-          ] );
-      ("wall_ms", Json.Num wall_ms);
-    ]
-
-let mount_read_ratio_of v =
-  Option.bind (Json.member "read_ratio_max" v) Json.to_float
-
-let validate_mount v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> mount_schema_id then Error ("unexpected schema id " ^ schema)
-  else
-    let* rows =
-      require "missing mount section"
-        (Option.bind (Json.member "mount" v) Json.to_list)
-    in
-    if List.length rows < 2 then
-      Error "mount: need at least two populations to claim O(1) recovery"
-    else
-      let* () =
-        List.fold_left
-          (fun acc row ->
-            let* () = acc in
-            let* n =
-              require "mount row: missing subjects"
-                (Option.bind (Json.member "subjects" row) Json.to_float)
-            in
-            let* reads =
-              require "mount row: missing mount_reads"
-                (Option.bind (Json.member "mount_reads" row) Json.to_float)
-            in
-            if n <= 0.0 || reads <= 0.0 then
-              Error "mount row: non-positive subjects or mount_reads"
-            else Ok ())
-          (Ok ()) rows
-      in
-      let* ratio =
-        require "missing read_ratio_max" (mount_read_ratio_of v)
-      in
-      if ratio > mount_read_ratio_bar then
-        Error
-          (Printf.sprintf
-             "clean-mount reads are population-dependent: max/min ratio \
-              %.2fx exceeds the %.1fx bar"
-             ratio mount_read_ratio_bar)
-      else
-        let* z = require "missing zipf section" (Json.member "zipf" v) in
-        let num name =
-          require ("zipf: missing " ^ name)
-            (Option.bind (Json.member name z) Json.to_float)
-        in
-        let* budget = num "budget" in
-        let* resident_max = num "resident_max" in
-        let* evictions = num "evictions" in
-        let* ops_ok =
-          require "zipf: missing ops_ok"
-            (match Json.member "ops_ok" z with
-            | Some (Json.Bool b) -> Some b
-            | _ -> None)
-        in
-        if resident_max > budget then
-          Error
-            (Printf.sprintf
-               "zipf: resident high-water %.0f exceeds the %.0f-entry budget"
-               resident_max budget)
-        else if evictions <= 0.0 then
-          Error "zipf: no evictions — the cache budget was not binding"
-        else if not ops_ok then Error "zipf: a workload operation failed"
-        else Ok ()
-
-let compare_mount ~old_report ~read_ratio_max:current =
-  match mount_read_ratio_of old_report with
-  | None -> Error "old mount report has no read_ratio_max"
-  | Some old_ratio ->
-      let ceiling =
-        old_ratio *. (1.0 +. (regression_threshold_pct /. 100.0))
-      in
-      if current > ceiling then
-        Error
-          (Printf.sprintf
-             "clean-mount read ratio regressed: %.2fx -> %.2fx (ceiling \
-              %.2fx = committed +%.0f%%)"
-             old_ratio current ceiling regression_threshold_pct)
-      else Ok old_ratio
-
-(* ---------- segment-IO artifact ---------- *)
-
-let segment_schema_id = "rgpdos-bench-segment-io/1"
-
-(* acceptance bars for the log-structured layout: the segmented store
-   must at least halve write amplification versus update-in-place on the
-   same workload, must not ingest slower, must actually have
-   group-committed (batches > 0, else the window never engaged), and
-   BOTH sides must finish with a residue-clean device image — layout
-   changes don't get to trade forensic hygiene for speed. *)
-let segment_amp_ratio_bar = 2.0
-
-let segment_side (s : Segment_bench.side) =
-  Json.Obj
-    [
-      ("label", Json.Str s.Segment_bench.sg_label);
-      ("subjects", Json.Num (float_of_int s.Segment_bench.sg_subjects));
-      ("updates", Json.Num (float_of_int s.Segment_bench.sg_updates));
-      ("erasures", Json.Num (float_of_int s.Segment_bench.sg_erasures));
-      ("deletes", Json.Num (float_of_int s.Segment_bench.sg_deletes));
-      ("window", Json.Num (float_of_int s.Segment_bench.sg_window));
-      ( "logical_bytes",
-        Json.Num (float_of_int s.Segment_bench.sg_logical_bytes) );
-      ( "blocks_written",
-        Json.Num (float_of_int s.Segment_bench.sg_blocks_written) );
-      ( "bytes_written",
-        Json.Num (float_of_int s.Segment_bench.sg_bytes_written) );
-      ("trims", Json.Num (float_of_int s.Segment_bench.sg_trims));
-      ("write_amp", Json.Num s.Segment_bench.sg_write_amp);
-      ("ingest_mb_s", Json.Num s.Segment_bench.sg_ingest_mb_s);
-      ("sim_ms", Json.Num s.Segment_bench.sg_sim_ms);
-      ("batches", Json.Num (float_of_int s.Segment_bench.sg_batches));
-      ("batched_ops", Json.Num (float_of_int s.Segment_bench.sg_batched_ops));
-      ("compactions", Json.Num (float_of_int s.Segment_bench.sg_compactions));
-      ("relocations", Json.Num (float_of_int s.Segment_bench.sg_relocations));
-      ( "segments_reclaimed",
-        Json.Num (float_of_int s.Segment_bench.sg_segments_reclaimed) );
-      ( "backpressure_stalls",
-        Json.Num (float_of_int s.Segment_bench.sg_backpressure_stalls) );
-      ("residue_clean", Json.Bool s.Segment_bench.sg_residue_clean);
-    ]
-
-let make_segment ~(result : Segment_bench.result) ~wall_ms =
-  Json.Obj
-    [
-      ("schema", Json.Str segment_schema_id);
-      ("baseline", segment_side result.Segment_bench.sr_baseline);
-      ("segmented", segment_side result.Segment_bench.sr_segmented);
-      ("amp_ratio", Json.Num result.Segment_bench.sr_amp_ratio);
-      ("ingest_ratio", Json.Num result.Segment_bench.sr_ingest_ratio);
-      ("wall_ms", Json.Num wall_ms);
-    ]
-
-let segment_ingest_of v =
-  Option.bind (Json.member "segmented" v) (fun s ->
-      Option.bind (Json.member "ingest_mb_s" s) Json.to_float)
-
-let validate_segment v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> segment_schema_id then Error ("unexpected schema id " ^ schema)
-  else
-    let side name =
-      require ("missing " ^ name ^ " section") (Json.member name v)
-    in
-    let num s name =
-      require ("side: missing " ^ name)
-        (Option.bind (Json.member name s) Json.to_float)
-    in
-    let flag s name =
-      require ("side: missing " ^ name)
-        (match Json.member name s with Some (Json.Bool b) -> Some b | _ -> None)
-    in
-    let* base = side "baseline" in
-    let* seg = side "segmented" in
-    let* subjects = num seg "subjects" in
-    let* seg_batches = num seg "batches" in
-    let* seg_amp = num seg "write_amp" in
-    let* base_amp = num base "write_amp" in
-    let* base_clean = flag base "residue_clean" in
-    let* seg_clean = flag seg "residue_clean" in
-    let* amp_ratio =
-      require "missing amp_ratio"
-        (Option.bind (Json.member "amp_ratio" v) Json.to_float)
-    in
-    let* ingest_ratio =
-      require "missing ingest_ratio"
-        (Option.bind (Json.member "ingest_ratio" v) Json.to_float)
-    in
-    if subjects < 10_000.0 then
-      Error
-        (Printf.sprintf
-           "segment: %d subjects — the claim requires >= 10^4"
-           (int_of_float subjects))
-    else if seg_amp <= 0.0 || base_amp <= 0.0 then
-      Error "segment: non-positive write amplification"
-    else if seg_batches <= 0.0 then
-      Error "segment: no group-commit batches — the window never engaged"
-    else if not base_clean then
-      Error "segment: baseline side left plaintext residue on the device"
-    else if not seg_clean then
-      Error "segment: segmented side left plaintext residue on the device"
-    else if amp_ratio < segment_amp_ratio_bar then
-      Error
-        (Printf.sprintf
-           "write amplification only improved %.2fx (%.2f -> %.2f); the bar \
-            is %.1fx"
-           amp_ratio base_amp seg_amp segment_amp_ratio_bar)
-    else if ingest_ratio <= 1.0 then
-      Error
-        (Printf.sprintf
-           "segmented sustained ingest is not faster: ratio %.2fx"
-           ingest_ratio)
-    else Ok ()
-
-let compare_segment ~old_report ~ingest_mb_s:current =
-  match segment_ingest_of old_report with
-  | None -> Error "old segment report has no segmented ingest_mb_s"
-  | Some old_ingest ->
-      let floor =
-        old_ingest *. (1.0 -. (regression_threshold_pct /. 100.0))
-      in
-      if current < floor then
-        Error
-          (Printf.sprintf
-             "sustained ingest regressed: %.2f -> %.2f MB/s (floor %.2f = \
-              committed -%.0f%%)"
-             old_ingest current floor regression_threshold_pct)
-      else Ok old_ingest
-
-(* ---------- rights-SLA artifact ---------- *)
-
-let sla_schema_id = "rgpdos-bench-rights-sla/1"
-
-(* acceptance bars for the deadline lane: under saturating batch load the
-   EDF dispatcher must cut the Art. 15 access p99 by at least 5x against
-   FIFO on the identical schedule, must itself miss no deadline anywhere
-   (main mix, storm, breach), and must actually have preempted (else the
-   lane never engaged and the numbers are vacuous). *)
-let sla_improvement_bar = 5.0
-
-let sla_right (rs : Sla_bench.right_stats) =
-  Json.Obj
-    [
-      ("label", Json.Str rs.Sla_bench.rs_label);
-      ("count", Json.Num (float_of_int rs.Sla_bench.rs_count));
-      ("errors", Json.Num (float_of_int rs.Sla_bench.rs_errors));
-      ("p50_ns", Json.Num (float_of_int rs.Sla_bench.rs_p50_ns));
-      ("p99_ns", Json.Num (float_of_int rs.Sla_bench.rs_p99_ns));
-      ("max_ns", Json.Num (float_of_int rs.Sla_bench.rs_max_ns));
-      ("misses", Json.Num (float_of_int rs.Sla_bench.rs_misses));
-      ("deadline_ns", Json.Num (float_of_int rs.Sla_bench.rs_deadline_ns));
-    ]
-
-let sla_side (s : Sla_bench.side) =
-  Json.Obj
-    [
-      ("policy", Json.Str s.Sla_bench.sd_policy);
-      ("batch_jobs", Json.Num (float_of_int s.Sla_bench.sd_batch_jobs));
-      ("batch_errors", Json.Num (float_of_int s.Sla_bench.sd_batch_errors));
-      ("sim_ns", Json.Num (float_of_int s.Sla_bench.sd_sim_ns));
-      ("wall_s", Json.Num s.Sla_bench.sd_wall_s);
-      ( "counters",
-        Json.Obj
-          (List.map
-             (fun (k, v) -> (k, Json.Num (float_of_int v)))
-             s.Sla_bench.sd_counters) );
-      ("rights", Json.List (List.map sla_right s.Sla_bench.sd_rights));
-    ]
-
-let make_sla ~(result : Sla_bench.result) ~wall_ms =
-  Json.Obj
-    [
-      ("schema", Json.Str sla_schema_id);
-      ("subjects", Json.Num (float_of_int result.Sla_bench.r_subjects));
-      ("domains", Json.Num (float_of_int result.Sla_bench.r_domains));
-      ("seed", Json.Num (Int64.to_float result.Sla_bench.r_seed));
-      ("batches", Json.Num (float_of_int result.Sla_bench.r_batches));
-      ( "batch_every_ns",
-        Json.Num (float_of_int result.Sla_bench.r_batch_every_ns) );
-      ("fifo", sla_side result.Sla_bench.r_fifo);
-      ("edf", sla_side result.Sla_bench.r_edf);
-      ( "improvement",
-        Json.Obj
-          (List.map
-             (fun (k, v) -> (k, Json.Num v))
-             result.Sla_bench.r_improvement) );
-      ( "storm",
-        Json.Obj
-          [
-            ( "requests",
-              Json.Num (float_of_int result.Sla_bench.r_storm.Sla_bench.st_requests) );
-            ( "p50_ns",
-              Json.Num (float_of_int result.Sla_bench.r_storm.Sla_bench.st_p50_ns) );
-            ( "p99_ns",
-              Json.Num (float_of_int result.Sla_bench.r_storm.Sla_bench.st_p99_ns) );
-            ( "misses",
-              Json.Num (float_of_int result.Sla_bench.r_storm.Sla_bench.st_misses) );
-            ( "drain_ns",
-              Json.Num (float_of_int result.Sla_bench.r_storm.Sla_bench.st_drain_ns) );
-          ] );
-      ( "breach",
-        Json.Obj
-          [
-            ( "affected",
-              Json.Num (float_of_int result.Sla_bench.r_breach.Sla_bench.bn_affected) );
-            ( "entries",
-              Json.Num (float_of_int result.Sla_bench.r_breach.Sla_bench.bn_entries) );
-            ( "latency_ns",
-              Json.Num (float_of_int result.Sla_bench.r_breach.Sla_bench.bn_latency_ns) );
-            ( "deadline_ns",
-              Json.Num
-                (float_of_int result.Sla_bench.r_breach.Sla_bench.bn_deadline_ns) );
-            ("met", Json.Bool result.Sla_bench.r_breach.Sla_bench.bn_met);
-          ] );
-      ("wall_ms", Json.Num wall_ms);
-    ]
-
-let sla_improvement_of v =
-  Option.bind (Json.member "improvement" v) (fun imp ->
-      Option.bind (Json.member "art15" imp) Json.to_float)
-
-let validate_sla v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> sla_schema_id then Error ("unexpected schema id " ^ schema)
-  else
-    let num obj name =
-      require ("missing " ^ name)
-        (Option.bind (Json.member name obj) Json.to_float)
-    in
-    let* side_fifo = require "missing fifo section" (Json.member "fifo" v) in
-    let* side_edf = require "missing edf section" (Json.member "edf" v) in
-    let counters s =
-      let* c = require "side: missing counters" (Json.member "counters" s) in
-      let rec go = function
-        | [] -> Ok c
-        | n :: rest -> (
-            match Option.bind (Json.member n c) Json.to_float with
-            | Some _ -> go rest
-            | None -> Error ("side: missing canonical counter " ^ n))
-      in
-      go Rgpdos_kernel.Scheduler.counter_names
-    in
-    let* fifo_counters = counters side_fifo in
-    let* edf_counters = counters side_edf in
-    let right s label =
-      match Json.member "rights" s with
-      | Some (Json.List rights) ->
-          require ("missing rights row " ^ label)
-            (List.find_opt
-               (fun r ->
-                 Option.bind (Json.member "label" r) Json.to_str = Some label)
-               rights)
-      | _ -> Error "side: missing rights list"
-    in
-    let* fifo15 = right side_fifo "art15" in
-    let* edf15 = right side_edf "art15" in
-    let* fifo15_count = num fifo15 "count" in
-    let* edf15_count = num edf15 "count" in
-    let* edf15_misses = num edf15 "misses" in
-    let* edf_deadline_misses = num edf_counters "deadline_misses" in
-    let* edf_preemptions = num edf_counters "preemptions" in
-    let* fifo_preemptions = num fifo_counters "preemptions" in
-    let* improvement15 =
-      require "missing art15 improvement" (sla_improvement_of v)
-    in
-    let* storm = require "missing storm section" (Json.member "storm" v) in
-    let* storm_requests = num storm "requests" in
-    let* storm_misses = num storm "misses" in
-    let* breach = require "missing breach section" (Json.member "breach" v) in
-    let* breach_affected = num breach "affected" in
-    let* breach_met =
-      require "missing breach met flag"
-        (match Json.member "met" breach with
-        | Some (Json.Bool b) -> Some b
-        | _ -> None)
-    in
-    if fifo15_count <= 0.0 || edf15_count <= 0.0 then
-      Error "sla: no Art. 15 samples on one of the sides"
-    else if fifo15_count <> edf15_count then
-      Error "sla: the two sides served different Art. 15 request counts"
-    else if edf_preemptions <= 0.0 then
-      Error "sla: EDF side never preempted — the deadline lane never engaged"
-    else if fifo_preemptions <> 0.0 then
-      Error "sla: FIFO side reports preemptions"
-    else if edf15_misses > 0.0 || edf_deadline_misses > 0.0 then
-      Error
-        (Printf.sprintf
-           "sla: EDF side missed deadlines (art15 %d, total %d) — the gated \
-            config requires zero"
-           (int_of_float edf15_misses)
-           (int_of_float edf_deadline_misses))
-    else if storm_requests <= 0.0 then Error "sla: storm served no withdrawals"
-    else if storm_misses > 0.0 then
-      Error
-        (Printf.sprintf "sla: storm missed %d withdrawal deadlines"
-           (int_of_float storm_misses))
-    else if breach_affected <= 0.0 then
-      Error "sla: breach enumeration found no affected subjects"
-    else if not breach_met then
-      Error "sla: Art. 33 breach enumeration missed its deadline"
-    else if improvement15 < sla_improvement_bar then
-      Error
-        (Printf.sprintf
-           "sla: Art. 15 p99 only improved %.2fx under EDF; the bar is %.1fx"
-           improvement15 sla_improvement_bar)
-    else Ok ()
-
-(* The improvement factor is strongly scale-dependent (the FIFO backlog
-   deepens with every batch the schedule adds), so a quick-scale
-   measurement cannot be held to a percentage of the committed
-   full-scale figure.  The gate is the absolute bar on both sides: the
-   committed artifact must clear it (else it should never have been
-   committed) and the fresh measurement must clear it at whatever scale
-   it ran. *)
-let compare_sla ~old_report ~improvement15:current =
-  match sla_improvement_of old_report with
-  | None -> Error "old sla report has no art15 improvement"
-  | Some old_imp ->
-      if old_imp < sla_improvement_bar then
-        Error
-          (Printf.sprintf
-             "committed Art. 15 p99 improvement %.2fx is under the %.1fx bar"
-             old_imp sla_improvement_bar)
-      else if current < sla_improvement_bar then
-        Error
-          (Printf.sprintf
-             "Art. 15 p99 improvement %.2fx fell under the absolute %.1fx bar"
-             current sla_improvement_bar)
-      else Ok old_imp
-
-(* ---------- async block-I/O artifact ---------- *)
-
-let async_schema_id = "rgpdos-bench-async-io/1"
-
-(* acceptance bars for the submission/completion queues: at queue depth
-   >= 4 the pipelined DED load stages must run at least 1.8x faster than
-   the same binary with async off, with more than 40% of the device
-   service hidden behind compute — and the A/B must have held the
-   async==sync invariant (identical stages and non-latency counters). *)
-let async_speedup_bar = 1.8
-let async_overlap_bar = 40.0
-
-let async_depth_row (row : Async_bench.depth_row) =
-  Json.Obj
-    [
-      ("depth", Json.Num (float_of_int row.Async_bench.ar_depth));
-      ("total_ns", Json.Num (float_of_int row.Async_bench.ar_total_ns));
-      ("load_ns", Json.Num (float_of_int row.Async_bench.ar_load_ns));
-      ("load_speedup", Json.Num row.Async_bench.ar_load_speedup);
-      ("total_speedup", Json.Num row.Async_bench.ar_total_speedup);
-      ("overlap_pct", Json.Num row.Async_bench.ar_overlap_pct);
-      ("submits", Json.Num (float_of_int row.Async_bench.ar_submits));
-      ("highwater", Json.Num (float_of_int row.Async_bench.ar_highwater));
-    ]
-
-let async_size_run (s : Async_bench.size_run) =
-  Json.Obj
-    [
-      ("subjects", Json.Num (float_of_int s.Async_bench.as_subjects));
-      ("sync_total_ns", Json.Num (float_of_int s.Async_bench.as_sync_total_ns));
-      ("sync_load_ns", Json.Num (float_of_int s.Async_bench.as_sync_load_ns));
-      ("invariant_ok", Json.Bool s.Async_bench.as_invariant_ok);
-      ("rows", Json.List (List.map async_depth_row s.Async_bench.as_rows));
-    ]
-
-let make_async ~(result : Async_bench.result) ~wall_ms =
-  Json.Obj
-    [
-      ("schema", Json.Str async_schema_id);
-      ( "depths",
-        Json.List
-          (List.map
-             (fun d -> Json.Num (float_of_int d))
-             result.Async_bench.a_depths) );
-      ("sizes", Json.List (List.map async_size_run result.Async_bench.a_sizes));
-      ("best_load_speedup", Json.Num result.Async_bench.a_best_load_speedup);
-      ("best_overlap_pct", Json.Num result.Async_bench.a_best_overlap_pct);
-      ("wall_ms", Json.Num wall_ms);
-    ]
-
-let async_speedup_of v =
-  Option.bind (Json.member "best_load_speedup" v) Json.to_float
-
-let async_overlap_of v =
-  Option.bind (Json.member "best_overlap_pct" v) Json.to_float
-
-let validate_async v =
-  let* schema =
-    require "missing schema key"
-      (Option.bind (Json.member "schema" v) Json.to_str)
-  in
-  if schema <> async_schema_id then Error ("unexpected schema id " ^ schema)
-  else
-    let* sizes =
-      match Json.member "sizes" v with
-      | Some (Json.List (_ :: _ as sizes)) -> Ok sizes
-      | Some (Json.List []) -> Error "async: empty size sweep"
-      | _ -> Error "async: missing sizes list"
-    in
-    let* () =
-      let check_size s =
-        let* invariant =
-          require "async: size run missing invariant_ok flag"
-            (match Json.member "invariant_ok" s with
-            | Some (Json.Bool b) -> Some b
-            | _ -> None)
-        in
-        if not invariant then
-          Error
-            "async: a size run broke the async==sync invariant (stages or \
-             non-latency counters diverged)"
-        else
-          let* rows =
-            match Json.member "rows" s with
-            | Some (Json.List (_ :: _ as rows)) -> Ok rows
-            | _ -> Error "async: size run has no depth rows"
-          in
-          let has_deep =
-            List.exists
-              (fun r ->
-                match Option.bind (Json.member "depth" r) Json.to_float with
-                | Some d -> d >= 4.0
-                | None -> false)
-              rows
-          in
-          if not has_deep then Error "async: no row at queue depth >= 4"
-          else Ok ()
-      in
-      List.fold_left
-        (fun acc s -> match acc with Error _ -> acc | Ok () -> check_size s)
-        (Ok ()) sizes
-    in
-    let* speedup =
-      require "missing best_load_speedup" (async_speedup_of v)
-    in
-    let* overlap = require "missing best_overlap_pct" (async_overlap_of v) in
-    if speedup < async_speedup_bar then
-      Error
-        (Printf.sprintf
-           "async: load stages only sped up %.2fx at depth >= 4; the bar is \
-            %.1fx"
-           speedup async_speedup_bar)
-    else if overlap < async_overlap_bar then
-      Error
-        (Printf.sprintf
-           "async: only %.1f%% of device service overlapped compute; the bar \
-            is %.0f%%"
-           overlap async_overlap_bar)
-    else Ok ()
-
-(* Like the SLA gate: overlap grows with batch size (deeper pipelines
-   hide more service behind decode), so a quick-scale run cannot be held
-   to a percentage of the committed full-scale figure.  Both sides are
-   held to the same absolute bars instead. *)
-let compare_async ~old_report ~speedup:current ~overlap:current_overlap =
-  match (async_speedup_of old_report, async_overlap_of old_report) with
-  | None, _ -> Error "old async report has no best_load_speedup"
-  | _, None -> Error "old async report has no best_overlap_pct"
-  | Some old_speedup, Some old_overlap ->
-      if old_speedup < async_speedup_bar then
-        Error
-          (Printf.sprintf
-             "committed async load speedup %.2fx is under the %.1fx bar"
-             old_speedup async_speedup_bar)
-      else if old_overlap < async_overlap_bar then
-        Error
-          (Printf.sprintf
-             "committed async overlap %.1f%% is under the %.0f%% bar"
-             old_overlap async_overlap_bar)
-      else if current < async_speedup_bar then
-        Error
-          (Printf.sprintf
-             "async load speedup %.2fx fell under the absolute %.1fx bar"
-             current async_speedup_bar)
-      else if current_overlap < async_overlap_bar then
-        Error
-          (Printf.sprintf
-             "async overlap %.1f%% fell under the absolute %.0f%% bar"
-             current_overlap async_overlap_bar)
-      else Ok old_speedup
+    match read_file section path with
+    | Error e -> [ Printf.sprintf "cannot parse %s: %s" path e ]
+    | Ok committed ->
+        List.map (fun l -> path ^ ": " ^ l) (compare section ~committed ~fresh)

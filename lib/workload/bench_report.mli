@@ -1,345 +1,93 @@
-(** Machine-readable benchmark artifact ([BENCH_hotpath.json]).
+(** The bench-gate registry: one shape for every committed [BENCH_*.json].
 
-    The bench binary's [--json PATH] mode assembles one of these from the
-    bechamel micro rows and the E1/E4 experiment results, so perf changes
-    are reviewable as a committed diff instead of eyeballed table output.
-    [validate] is what the test suite runs against the emitted file. *)
+    A gated section is a name, a [run ~quick] function and a list of
+    metrics.  Each metric names a number derived from the run, its unit
+    and its gates.  A gate is one of three kinds:
+    - an absolute bar ([Bar]), held by the fresh run {e and} the
+      committed artifact;
+    - an exact value ([Exact]), held the same way;
+    - a tolerance relative to the committed artifact ([Rel]).
+
+    {!validate} enforces the first two kinds, {!compare} the third (and
+    holds the committed artifact to the first two).  The sections
+    themselves are declared by the bench harness. *)
 
 module Json = Rgpdos_util.Json
 
-type micro_row = {
-  name : string;  (** bechamel test name, e.g. "core/sha256/1KiB" *)
-  ns_per_op : float;  (** OLS estimate, host wall clock *)
-  r2 : float;
+type cmp = Ge | Gt | Le | Lt
+type better = Higher | Lower
+
+type gate =
+  | Bar of cmp * float  (** [value cmp bar] must hold *)
+  | Exact of float  (** [value = x] must hold *)
+  | Rel of { better : better; tol : float; slack : float }
+      (** the fresh value may be worse than the committed one by at
+          most the fraction [tol], or by at most [slack] absolute units
+          where that is larger *)
+
+type 'r metric = {
+  name : string;
+  unit : string;
+  gates : gate list;  (** [[]]: recorded, and required to be a number *)
+  value : 'r -> float;
+}
+
+type 'r spec = {
+  name : string;  (** section name on the bench command line *)
+  title : string;
+  artifact : string;  (** committed file name, e.g. ["BENCH_hotpath.json"] *)
+  run : quick:bool -> 'r;
+  render : 'r -> string;  (** human-readable tables *)
+  detail : 'r -> Json.t;  (** ungated rows kept in the artifact for readers *)
+  metrics : 'r metric list;
+}
+
+type section = Section : 'r spec -> section
+
+type report = {
+  section : string;
+  quick : bool;
+  wall_ms : float;  (** host wall clock of the run *)
+  values : (string * float) list;  (** metric name -> value *)
+  detail : Json.t;
 }
 
 val schema_id : string
-(** Value of the report's ["schema"] key; bump on layout changes. *)
+(** Value of every artifact's ["schema"] key. *)
 
-val make :
-  quick:bool ->
-  micro:micro_row list ->
-  ?e1:Experiments.e1_result * float ->
-  ?e4:Experiments.e4_row list * float ->
-  unit ->
-  Json.t
-(** [make ~quick ~micro ?e1 ?e4 ()] builds the report.  The [float]
-    paired with each experiment result is its host wall-clock runtime in
-    milliseconds (the simulated figures live inside the result itself). *)
+val name : section -> string
+val artifact : section -> string
 
-val validate : Json.t -> (unit, string) result
-(** Shape check: schema id, non-empty [micro] with the hot-path rows
-    ("sha256/1KiB", "chacha20/1KiB", "audit/append") present and numeric,
-    and — when present — well-formed [e1]/[e4] sections. *)
+val declared : section -> (string * string * gate list) list
+(** Every metric's name, unit and gates, in declaration order. *)
 
-val write_file : string -> Json.t -> unit
+val measure : 'r spec -> quick:bool -> wall_ms:float -> 'r -> report
+(** The report of one run result. *)
 
-val read_file : string -> Json.t option
-(** Parse a previously written report; [None] on malformed JSON. *)
+val run : section -> quick:bool -> report * string
+(** Run the section, timing it on the host wall clock; returns the
+    report and the rendered tables. *)
 
-val merge_ratio : (string * int) list -> float
-(** Per-block reads per charged seek, from device counters
-    ("reads" / "merged_runs"); 1.0 when no vectored run was charged. *)
+val describe : gate -> string
 
-(** {1 Vectored-IO artifact ([BENCH_vectored_io.json])} *)
+val validate : section -> report -> string list
+(** The failing absolute and exact gates, one line each; [[]] when the
+    report passes.  A declared metric that is missing or not a number
+    fails. *)
 
-val vectored_schema_id : string
+val compare : section -> committed:report -> fresh:report -> string list
+(** The committed report's failing absolute and exact gates, every
+    committed metric missing from the fresh report, and the failing
+    relative gates. *)
 
-val make_vectored :
-  scalar:Experiments.e1_result ->
-  scalar_wall_ms:float ->
-  vectored:Experiments.e1_result ->
-  vectored_wall_ms:float ->
-  ?baseline:Json.t ->
-  unit ->
-  Json.t
-(** Build the before/after evidence for the vectored IO path: the same E1
-    scale run with the scalar device cost model (one seek per block) and
-    with run-merging vectored charging, stage-level [reduction_pct], and
-    (when [baseline] — the committed hotpath report — is given) a
-    per-subject comparison against its E1 section. *)
+val to_json : section -> report -> Json.t
+val of_json : section -> Json.t -> (report, string) result
 
-val validate_vectored : Json.t -> (unit, string) result
-(** Shape check plus the acceptance bar: [ded_load_membrane],
-    [ded_load_data], and their combination must each show >= 30%%
-    simulated-time reduction. *)
+val write_file : section -> string -> report -> unit
 
-(** {1 Regression comparison (bench [--compare])} *)
+val read_file : section -> string -> (report, string) result
+(** Parse an artifact; [Error] carries the I/O, JSON or shape error. *)
 
-val regression_threshold_pct : float
-(** A stage regresses when its per-subject simulated time grows by more
-    than this percentage (and by more than a small absolute epsilon, so
-    the sub-microsecond fixed-cost stages cannot trip the gate). *)
-
-val compare_e1 :
-  old_report:Json.t -> Experiments.e1_result -> (int, string list) result
-(** Compare a fresh E1 run against the [e1] section of a previously
-    committed report, per-subject.  [Ok n] reports how many stages were
-    checked; [Error lines] lists every regressed stage. *)
-
-(** {1 Parallel-scale artifact ([BENCH_parallel_scale.json])} *)
-
-val scale_schema_id : string
-
-type scale_row = {
-  domains : int;
-  sim_critical_ns : int;
-  sim_total_ns : int;
-  kops_per_sim_s : float;
-  wall_s : float;
-  speedup : float;  (** vs the 1-domain row of the same sweep *)
-}
-
-val speedup_bar : float
-(** Acceptance bar for the 4-domain speedup (2.5x). *)
-
-val scale_row_of_report :
-  baseline:Shard_bench.report -> Shard_bench.report -> scale_row
-(** Project a sharded run into an artifact row, computing [speedup]
-    against [baseline] (normally the 1-shard run of the same sweep). *)
-
-val make_scale :
-  role:string ->
-  subjects:int ->
-  total_ops:int ->
-  rows:scale_row list ->
-  e1_seq:Experiments.e1_result ->
-  e1_par:Experiments.e1_result ->
-  e1_cores:int ->
-  unit ->
-  Json.t
-(** The committed evidence for the multicore layer: the 1->2->4->8-domain
-    speedup curve of the processor-role GDPRBench mix, plus the E1
-    [ded_execute] before ([e1_seq], [~cores:1]) / after ([e1_par],
-    [e1_cores] cores) pair. *)
-
-val validate_scale : Json.t -> (unit, string) result
-(** Shape check plus the acceptance bars: a 4-domain row with speedup >=
-    {!speedup_bar}, and a positive parallel [ded_execute] reduction. *)
-
-val scale_speedup_at : Json.t -> int -> float option
-(** The [speedup] of the row with the given domain count, if present. *)
-
-val compare_vectored :
-  old_report:Json.t -> subjects:int -> merge_ratio:float ->
-  (float, string) result
-(** Gate a freshly measured merge ratio against the committed
-    [BENCH_vectored_io.json]: fails on a > {!regression_threshold_pct}%%
-    drop.  Both sides are normalised to blocks-per-seek {i per subject}
-    (the ratio scales with the dataset), so a [--quick] run gates
-    honestly against the full-scale artifact.  [Ok] returns the
-    committed (un-normalised) ratio. *)
-
-val compare_scale :
-  old_report:Json.t -> speedup4:float -> (float, string) result
-(** Gate a freshly measured 4-domain speedup against the committed
-    [BENCH_parallel_scale.json], same threshold. *)
-
-(** {1 Index-select artifact ([BENCH_index_select.json])} *)
-
-val index_schema_id : string
-
-val index_speedup_bar : float
-(** Acceptance bar for the 1%%-selectivity Eq probe at 2000+ subjects
-    (10x vs the full scan). *)
-
-val ttl_speedup_bar : float
-(** Acceptance bar for the expiry-queue sweep vs the full membrane scan
-    at the largest aged population (2x). *)
-
-val make_index : result:Experiments.eidx_result -> wall_ms:float -> Json.t
-(** The committed evidence for the secondary-index layer: the selectivity
-    x population sweep of {!Experiments.e_index_select} (full scan vs
-    pushdown, same store, identical results asserted) and the
-    full-vs-incremental TTL sweep pair. *)
-
-val validate_index : Json.t -> (unit, string) result
-(** Shape check plus the acceptance bars: the 1%%-selectivity row at the
-    smallest population >= 2000 (present at both quick and full scale)
-    must show >= {!index_speedup_bar} speedup, and the largest TTL row
-    >= {!ttl_speedup_bar}. *)
-
-val compare_index :
-  old_report:Json.t -> speedup1pct:float -> (float, string) result
-(** Gate a freshly measured 1%%-selectivity pushdown speedup against the
-    committed [BENCH_index_select.json], same
-    {!regression_threshold_pct} threshold. *)
-
-(** {1 Fault-campaign artifact ([BENCH_fault_campaign.json])} *)
-
-val fault_schema_id : string
-
-val fault_pass_bar : float
-(** 100.0 — the robustness gate is absolute: all three invariants must
-    hold at every enumerated crash point (no regression margin). *)
-
-val make_fault :
-  result:Fault_campaign.result -> ?wall_ms:float -> unit -> Json.t
-(** The committed robustness evidence: one verdict row per crash point of
-    the scripted GDPR workload plus the named fault scenarios
-    ({!Fault_campaign.to_json}). *)
-
-val validate_fault : Json.t -> (unit, string) result
-(** Shape check plus the acceptance bars: when the campaign claims to be
-    exhaustive ([sampled = false]) every write ordinal [1..total_writes]
-    must appear among the points, the invariant pass rate must be
-    {!fault_pass_bar}, and every scenario must pass. *)
-
-val compare_fault :
-  old_report:Json.t -> pass_rate_pct:float -> (float, string) result
-(** Gate a freshly run campaign against the committed
-    [BENCH_fault_campaign.json]: both must sit at a 100%% invariant pass
-    rate. *)
-
-(** {1 Model-refinement artifact ([BENCH_model_check.json])} *)
-
-val model_schema_id : string
-
-val model_conformance_bar : float
-(** 100.0 — refinement is absolute: every observable comparison, every
-    crash-refinement run and every linearizability shard must agree with
-    the executable model (no regression margin). *)
-
-val make_model :
-  result:Rgpdos_model.Refine.report -> ?wall_ms:float -> unit -> Json.t
-(** The committed refinement evidence: campaign counters plus every
-    (shrunk, replayable) counterexample ({!Rgpdos_model.Refine.to_json}). *)
-
-val validate_model : Json.t -> (unit, string) result
-(** Shape check plus the acceptance bars: positive script / comparison /
-    crash-run / fault-point counts, crash coverage of all 18 configs,
-    linearizability at 1/2/4 domains, conformance at
-    {!model_conformance_bar} with an empty failure list. *)
-
-val compare_model :
-  old_report:Json.t -> conformance_pct:float -> (float, string) result
-(** Gate a freshly run refinement campaign against the committed
-    [BENCH_model_check.json]: both must sit at 100%% conformance. *)
-
-(** {1 Mount-scale artifact ([BENCH_mount_scale.json])} *)
-
-val mount_schema_id : string
-
-val mount_read_ratio_bar : float
-(** 2.0 — clean-mount device reads at the largest population must stay
-    within 2x of the smallest (the O(1)-recovery claim). *)
-
-val make_mount : result:Mount_bench.result -> wall_ms:float -> Json.t
-(** The committed evidence for the paged-index layer: one row per
-    population (clean-mount reads, simulated latency, resident cache
-    entries, index node pages) plus the Zipf-budget workload counters
-    ({!Mount_bench.run}). *)
-
-val validate_mount : Json.t -> (unit, string) result
-(** Shape check plus the acceptance bars: at least two populations, the
-    max/min mount-read ratio within {!mount_read_ratio_bar}, the Zipf
-    run's resident high-water within its budget with evictions actually
-    occurring (the budget was binding), and every workload op [Ok]. *)
-
-val compare_mount :
-  old_report:Json.t -> read_ratio_max:float -> (float, string) result
-(** Gate a freshly measured mount-read ratio against the committed
-    [BENCH_mount_scale.json], same {!regression_threshold_pct} threshold
-    (the metric is higher-is-worse, so the gate is a ceiling). *)
-
-(** {1 Segment-IO artifact ([BENCH_segment_io.json])} *)
-
-val segment_schema_id : string
-
-val segment_amp_ratio_bar : float
-(** 2.0 — the segmented store must show at least 2x lower write
-    amplification (device bytes written per logical byte ingested) than
-    update-in-place on the identical workload. *)
-
-val make_segment : result:Segment_bench.result -> wall_ms:float -> Json.t
-(** The committed evidence for the log-structured layer: both sides of
-    the A/B run ({!Segment_bench.run}) with write amplification,
-    sustained ingest, group-commit / compaction counters, and the
-    residue verdicts. *)
-
-val validate_segment : Json.t -> (unit, string) result
-(** Shape check plus the acceptance bars: >= 10^4 subjects, write-amp
-    ratio >= {!segment_amp_ratio_bar}, ingest ratio > 1, group-commit
-    batches > 0 on the segmented side, and both sides residue-clean. *)
-
-val segment_ingest_of : Json.t -> float option
-(** The segmented side's sustained-ingest figure (MB per simulated
-    second) of a segment-IO report, when present. *)
-
-val compare_segment :
-  old_report:Json.t -> ingest_mb_s:float -> (float, string) result
-(** Gate a freshly measured segmented sustained-ingest figure against the
-    committed [BENCH_segment_io.json]; the metric is higher-is-better, so
-    the gate is a floor at {!regression_threshold_pct} below committed. *)
-
-(** {1 Rights-SLA artifact ([BENCH_rights_sla.json])} *)
-
-val sla_schema_id : string
-
-val sla_improvement_bar : float
-(** 5.0 — the EDF deadline lane must cut the Art. 15 access p99 by at
-    least this factor against FIFO on the identical saturating
-    schedule. *)
-
-val make_sla : result:Sla_bench.result -> wall_ms:float -> Json.t
-(** The committed evidence for the deadline lane: both dispatcher sides
-    of the A/B run ({!Sla_bench.run}) with per-right p50/p99/miss rows
-    and the canonical scheduler counters, the per-right p99 improvement
-    factors, and the consent-storm / Art. 33 breach scenario verdicts. *)
-
-val validate_sla : Json.t -> (unit, string) result
-(** Shape check plus the acceptance bars: both sides served the same
-    (non-zero) Art. 15 count, the EDF side preempted at least once and
-    missed {i no} deadline (per-class and counter-wise), the FIFO side
-    reports zero preemptions, the storm drained with zero misses, the
-    breach enumeration found subjects and met its deadline, and the
-    Art. 15 p99 improvement clears {!sla_improvement_bar}. *)
-
-val sla_improvement_of : Json.t -> float option
-(** The committed Art. 15 p99 improvement factor, when present. *)
-
-val compare_sla :
-  old_report:Json.t -> improvement15:float -> (float, string) result
-(** Gate a freshly measured Art. 15 improvement against the committed
-    [BENCH_rights_sla.json].  The factor deepens with schedule length,
-    so quick and full runs are not comparable by percentage — the gate
-    holds {i both} the committed figure and the fresh measurement to
-    the absolute {!sla_improvement_bar}. *)
-
-(** {1 Async block-I/O artifact ([BENCH_async_io.json])} *)
-
-val async_schema_id : string
-
-val async_speedup_bar : float
-(** 1.8 — at queue depth >= 4 the pipelined DED load stages must beat
-    the same binary with async off by at least this factor. *)
-
-val async_overlap_bar : float
-(** 40.0 — percent of async device service that must be hidden behind
-    compute at the best depth >= 4. *)
-
-val make_async : result:Async_bench.result -> wall_ms:float -> Json.t
-(** The committed evidence for the submission/completion queues: the
-    depth sweep per population size ({!Async_bench.run}) with the sync
-    baseline, per-depth load/total speedups, the overlap ratio, and the
-    per-size async==sync invariant verdict. *)
-
-val validate_async : Json.t -> (unit, string) result
-(** Shape check plus the acceptance bars: a non-empty size sweep, every
-    size run holding the async==sync invariant and containing a row at
-    depth >= 4, best load-stage speedup >= {!async_speedup_bar} and
-    best overlap >= {!async_overlap_bar}. *)
-
-val async_speedup_of : Json.t -> float option
-(** The committed best load-stage speedup at depth >= 4, when present. *)
-
-val async_overlap_of : Json.t -> float option
-(** The committed best overlap percentage at depth >= 4, when present. *)
-
-val compare_async :
-  old_report:Json.t -> speedup:float -> overlap:float -> (float, string) result
-(** Gate a fresh async A/B against the committed [BENCH_async_io.json].
-    Overlap deepens with batch size, so quick and full runs are not
-    comparable by percentage — both the committed figures and the fresh
-    measurement are held to the absolute {!async_speedup_bar} /
-    {!async_overlap_bar}. *)
+val compare_dir : dir:string -> section -> report -> string list
+(** {!compare} against [dir/artifact]; a missing or unparseable artifact
+    is itself a failing gate, named by its path. *)

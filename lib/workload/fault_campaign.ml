@@ -694,7 +694,7 @@ let all_pass r =
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
 
-let to_json ?wall_ms r =
+let to_json r =
   let point p =
     Json.Obj
       [
@@ -717,8 +717,7 @@ let to_json ?wall_ms r =
       ]
   in
   Json.Obj
-    ([
-       ("schema", Json.Str "rgpdos-fault-campaign/1");
+    [
        ("seed", Json.Num (float_of_int r.fc_seed));
        ("subjects", Json.Num (float_of_int r.fc_subjects));
        ( "steps",
@@ -737,8 +736,7 @@ let to_json ?wall_ms r =
        ("pass_rate_pct", Json.Num (pass_rate_pct r));
        ("points", Json.List (List.map point r.fc_points));
        ("scenarios", Json.List (List.map scen r.fc_scenarios));
-     ]
-    @ match wall_ms with None -> [] | Some w -> [ ("wall_ms", Json.Num w) ])
+    ]
 
 let render r =
   let b = Buffer.create 1024 in

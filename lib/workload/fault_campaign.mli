@@ -28,8 +28,7 @@
 
     Determinism rule: the same seed and the same workload replay the
     exact same schedule and produce the same verdicts — {!to_json}
-    output is byte-identical across runs modulo the optional wall-clock
-    field. *)
+    output is byte-identical across runs. *)
 
 type crash_verdict = {
   cp_write : int;          (** crash point: the write-op ordinal crashed after *)
@@ -75,10 +74,9 @@ val pass_rate_pct : result -> float
 val all_pass : result -> bool
 (** [pass_rate_pct = 100.0] and every scenario passed. *)
 
-val to_json : ?wall_ms:float -> result -> Rgpdos_util.Json.t
-(** Machine-readable campaign report (the [BENCH_fault_campaign.json]
-    payload).  Deterministic for a given seed; [wall_ms] is the only
-    non-deterministic field and is omitted unless given. *)
+val to_json : result -> Rgpdos_util.Json.t
+(** Machine-readable campaign rows (the detail of
+    [BENCH_fault_campaign.json]).  Deterministic for a given seed. *)
 
 val render : result -> string
 (** Human-readable summary table. *)

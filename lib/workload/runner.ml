@@ -237,14 +237,12 @@ type result = {
   unsupported : int;
   errors : int;
   total_simulated_ns : int;
-  wall_seconds : float;
   per_op : (string * Stats.summary) list;
 }
 
 let run backend ops =
   let samples : (string, float list ref) Hashtbl.t = Hashtbl.create 8 in
   let unsupported = ref 0 and errors = ref 0 in
-  let wall0 = Sys.time () in
   let sim0 = backend.simulated_now () in
   List.iter
     (fun op ->
@@ -278,7 +276,6 @@ let run backend ops =
     unsupported = !unsupported;
     errors = !errors;
     total_simulated_ns = backend.simulated_now () - sim0;
-    wall_seconds = Sys.time () -. wall0;
     per_op;
   }
 

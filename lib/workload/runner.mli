@@ -49,7 +49,6 @@ type result = {
           baseline, which has no tamper-evident log) *)
   errors : int;
   total_simulated_ns : int;
-  wall_seconds : float;
   per_op : (string * Rgpdos_util.Stats.summary) list;
       (** simulated-ns summaries keyed by op kind, sorted *)
 }

@@ -398,78 +398,40 @@ let fake_result ?(invariant = true) ~speedup ~overlap () =
     a_best_overlap_pct = overlap;
   }
 
+let async = BR.Section Rgpdos_bench.Sections.async
+
+let async_report result =
+  BR.measure Rgpdos_bench.Sections.async ~quick:true ~wall_ms:1.0 result
+
 let test_make_async_validates () =
-  let report =
-    BR.make_async ~result:(fake_result ~speedup:2.5 ~overlap:70.0 ()) ~wall_ms:1.0
+  let report = async_report (fake_result ~speedup:2.5 ~overlap:70.0 ()) in
+  check_bool "good report accepted" true (BR.validate async report = []);
+  let text = Json.to_string (BR.to_json async report) in
+  (match Result.bind (Json.of_string text) (BR.of_json async) with
+  | Ok parsed ->
+      check_bool "parsed report valid" true (BR.validate async parsed = [])
+  | Error e -> Alcotest.failf "emitted JSON does not parse back: %s" e);
+  let rejected what result =
+    check_bool what true (BR.validate async (async_report result) <> [])
   in
-  (match BR.validate_async report with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "good report rejected: %s" e);
-  (match Json.of_string (Json.to_string report) with
-  | Ok parsed -> (
-      match BR.validate_async parsed with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "parsed report invalid: %s" e)
-  | Error e -> Alcotest.failf "emitted JSON does not parse: %s" e);
-  check_bool "below-bar speedup rejected" true
-    (Result.is_error
-       (BR.validate_async
-          (BR.make_async
-             ~result:(fake_result ~speedup:1.2 ~overlap:70.0 ())
-             ~wall_ms:1.0)));
-  check_bool "below-bar overlap rejected" true
-    (Result.is_error
-       (BR.validate_async
-          (BR.make_async
-             ~result:(fake_result ~speedup:2.5 ~overlap:10.0 ())
-             ~wall_ms:1.0)));
-  check_bool "broken invariant rejected" true
-    (Result.is_error
-       (BR.validate_async
-          (BR.make_async
-             ~result:(fake_result ~invariant:false ~speedup:2.5 ~overlap:70.0 ())
-             ~wall_ms:1.0)));
+  rejected "below-bar speedup rejected" (fake_result ~speedup:1.2 ~overlap:70.0 ());
+  rejected "below-bar overlap rejected" (fake_result ~speedup:2.5 ~overlap:10.0 ());
+  rejected "broken invariant rejected"
+    (fake_result ~invariant:false ~speedup:2.5 ~overlap:70.0 ());
   check_bool "garbage rejected" true
-    (Result.is_error (BR.validate_async (Json.Obj [ ("schema", Json.Str "x") ])))
-
-let test_compare_async_gate () =
-  let old_report =
-    BR.make_async ~result:(fake_result ~speedup:2.5 ~overlap:70.0 ()) ~wall_ms:1.0
-  in
-  (match BR.compare_async ~old_report ~speedup:2.0 ~overlap:55.0 with
-  | Ok old_speedup -> check_bool "returns committed figure" true (old_speedup = 2.5)
-  | Error e -> Alcotest.failf "passing run flagged: %s" e);
-  check_bool "fresh speedup under the absolute bar trips the gate" true
-    (Result.is_error (BR.compare_async ~old_report ~speedup:1.5 ~overlap:55.0));
-  check_bool "fresh overlap under the absolute bar trips the gate" true
-    (Result.is_error (BR.compare_async ~old_report ~speedup:2.0 ~overlap:20.0));
-  let bad_committed =
-    BR.make_async ~result:(fake_result ~speedup:1.1 ~overlap:70.0 ()) ~wall_ms:1.0
-  in
-  check_bool "under-bar committed artifact trips the gate" true
-    (Result.is_error
-       (BR.compare_async ~old_report:bad_committed ~speedup:2.0 ~overlap:55.0))
-
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_async_io.json"; "BENCH_async_io.json" ]
+    (Result.is_error (BR.of_json async (Json.Obj [ ("schema", Json.Str "x") ])))
 
 let test_committed_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_async_io.json missing (regenerate: dune exec bench/main.exe \
-         -- async --async-json BENCH_async_io.json)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> (
-          match BR.validate_async v with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s invalid: %s" path e))
+  let path =
+    List.find_opt Sys.file_exists [ "../BENCH_async_io.json"; "BENCH_async_io.json" ]
+  in
+  match Option.map (BR.read_file async) path with
+  | None -> Alcotest.fail "BENCH_async_io.json missing"
+  | Some (Error e) -> Alcotest.failf "BENCH_async_io.json: %s" e
+  | Some (Ok v) -> (
+      match BR.validate async v with
+      | [] -> ()
+      | e -> Alcotest.failf "BENCH_async_io.json invalid: %s" (String.concat "; " e))
 
 let () =
   Alcotest.run "async-io"
@@ -500,7 +462,6 @@ let () =
         [
           Alcotest.test_case "make_async validates" `Quick
             test_make_async_validates;
-          Alcotest.test_case "compare gate" `Quick test_compare_async_gate;
           Alcotest.test_case "committed artifact" `Quick test_committed_artifact;
         ] );
     ]

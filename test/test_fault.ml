@@ -374,24 +374,28 @@ let test_campaign_sampling_caps_points () =
        (fun p -> p.FC.cp_write = r.FC.fc_total_writes)
        r.FC.fc_points)
 
+let fault = BR.Section Rgpdos_bench.Sections.fault
+
 let test_committed_artifact_validates () =
   let path =
     if Sys.file_exists "BENCH_fault_campaign.json" then
       "BENCH_fault_campaign.json"
     else "../BENCH_fault_campaign.json"
   in
-  match BR.read_file path with
-  | None -> Alcotest.fail ("cannot read " ^ path)
-  | Some report -> (
-      match BR.validate_fault report with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("committed artifact invalid: " ^ e))
+  match BR.read_file fault path with
+  | Error e -> Alcotest.failf "cannot read %s: %s" path e
+  | Ok report -> (
+      match BR.validate fault report with
+      | [] -> ()
+      | e -> Alcotest.failf "committed artifact invalid: %s" (String.concat "; " e))
 
 let test_validate_rejects_failures () =
   let r = Lazy.force campaign in
-  let good = BR.make_fault ~result:r () in
-  check_bool "fresh report validates" true
-    (Result.is_ok (BR.validate_fault good));
+  let verdict result =
+    BR.validate fault
+      (BR.measure Rgpdos_bench.Sections.fault ~quick:true ~wall_ms:0.0 result)
+  in
+  check_bool "fresh report validates" true (verdict r = []);
   (* flip one scenario to failing: validation must reject *)
   let broken =
     {
@@ -401,17 +405,22 @@ let test_validate_rejects_failures () =
         :: r.FC.fc_scenarios;
     }
   in
-  check_bool "failed scenario rejected" true
-    (Result.is_error (BR.validate_fault (BR.make_fault ~result:broken ())));
+  check_bool "failed scenario rejected" true (verdict broken <> []);
   (* a sampled run claiming exhaustiveness must also be rejected *)
   let holey =
     { r with FC.fc_points = List.tl r.FC.fc_points; fc_sampled = false }
   in
-  check_bool "missing crash point rejected" true
-    (Result.is_error (BR.validate_fault (BR.make_fault ~result:holey ())));
-  match BR.compare_fault ~old_report:good ~pass_rate_pct:99.0 with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "compare_fault accepted a sub-100%% pass rate"
+  check_bool "missing crash point rejected" true (verdict holey <> []);
+  (* one failed invariant at one crash point drops the pass rate *)
+  let dirty =
+    {
+      r with
+      FC.fc_points =
+        { (List.hd r.FC.fc_points) with FC.cp_residue_free = false }
+        :: List.tl r.FC.fc_points;
+    }
+  in
+  check_bool "sub-100% pass rate rejected" true (verdict dirty <> [])
 
 let () =
   Alcotest.run "fault-injection"

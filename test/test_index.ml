@@ -455,52 +455,20 @@ let test_monotone () =
 (* ------------------------------------------------------------------ *)
 (* committed artifact                                                 *)
 
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_index_select.json"; "BENCH_index_select.json" ]
-
 let test_committed_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_index_select.json missing (regenerate: dune exec \
-         bench/main.exe -- index --index-json BENCH_index_select.json)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> (
-          match BR.validate_index v with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s invalid: %s" path e))
-
-let test_compare_index_gate () =
-  match artifact with
+  let index = BR.Section Rgpdos_bench.Sections.index in
+  let path =
+    List.find_opt Sys.file_exists
+      [ "../BENCH_index_select.json"; "BENCH_index_select.json" ]
+  in
+  match Option.map (BR.read_file index) path with
   | None -> Alcotest.fail "BENCH_index_select.json missing"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      let old_report =
-        match Json.of_string raw with
-        | Ok v -> v
-        | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      in
-      (* the committed number gates itself *)
-      let committed =
-        match BR.compare_index ~old_report ~speedup1pct:1.0e9 with
-        | Ok c -> c
-        | Error e -> Alcotest.failf "self-compare failed: %s" e
-      in
-      check_bool "committed speedup clears the 10x bar" true
-        (committed >= BR.index_speedup_bar);
-      match BR.compare_index ~old_report ~speedup1pct:(committed *. 0.5) with
-      | Ok _ -> Alcotest.fail "a halved speedup must trip the gate"
-      | Error line ->
-          check_bool "gate names the regression" true
-            (contains_sub line "regressed"))
+  | Some (Error e) -> Alcotest.failf "BENCH_index_select.json: %s" e
+  | Some (Ok v) -> (
+      match BR.validate index v with
+      | [] -> ()
+      | e ->
+          Alcotest.failf "BENCH_index_select.json invalid: %s" (String.concat "; " e))
 
 let () =
   Alcotest.run "index"
@@ -535,6 +503,5 @@ let () =
         [
           Alcotest.test_case "committed artifact validates" `Quick
             test_committed_artifact;
-          Alcotest.test_case "compare gate" `Quick test_compare_index_gate;
         ] );
     ]

@@ -214,47 +214,48 @@ let test_injected_bug_caught_and_shrunk () =
 (* ------------------------------------------------------------------ *)
 (* artifact machinery                                                 *)
 
+let model = BR.Section Rgpdos_bench.Sections.model
+
 let test_report_roundtrip () =
   let r = RF.run ~seed:11 ~scripts:2 () in
-  let j = BR.make_model ~result:r ~wall_ms:12.0 () in
-  (match BR.validate_model j with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "fresh report invalid: %s" e);
+  let j = BR.measure Rgpdos_bench.Sections.model ~quick:true ~wall_ms:12.0 r in
+  (match BR.validate model j with
+  | [] -> ()
+  | e -> Alcotest.failf "fresh report invalid: %s" (String.concat "; " e));
   (* the JSON survives a print/parse cycle *)
-  (match Json.of_string (Json.to_string j) with
-  | Ok j' -> (
-      match BR.validate_model j' with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "reparsed report invalid: %s" e)
+  let text = Json.to_string (BR.to_json model j) in
+  (match Result.bind (Json.of_string text) (BR.of_json model) with
+  | Ok j' -> check_bool "reparsed report valid" true (BR.validate model j' = [])
   | Error e -> Alcotest.failf "report does not reparse: %s" e);
-  (* the gate is absolute on both sides *)
-  (match BR.compare_model ~old_report:j ~conformance_pct:100.0 with
-  | Ok pct -> Alcotest.(check (float 0.0)) "gate pct" 100.0 pct
-  | Error e -> Alcotest.failf "absolute gate rejected 100%%: %s" e);
-  match BR.compare_model ~old_report:j ~conformance_pct:99.9 with
-  | Ok _ -> Alcotest.fail "gate passed under 100%% conformance"
-  | Error _ -> ()
-
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_model_check.json"; "BENCH_model_check.json" ]
+  (* the gate is absolute, on the fresh run and on the committed one *)
+  let below =
+    {
+      j with
+      BR.values =
+        List.map
+          (fun (k, v) -> (k, if k = "conformance_pct" then 99.9 else v))
+          j.BR.values;
+    }
+  in
+  check_bool "fresh run under 100% fails" true (BR.validate model below <> []);
+  check_bool "committed run under 100% fails" true
+    (BR.compare model ~committed:below ~fresh:j <> []);
+  check_bool "100% on both sides passes" true
+    (BR.compare model ~committed:j ~fresh:j = [])
 
 let test_committed_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_model_check.json missing (regenerate: dune exec \
-         bench/main.exe -- model --model-json BENCH_model_check.json)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> (
-          match BR.validate_model v with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s invalid: %s" path e))
+  let path =
+    List.find_opt Sys.file_exists
+      [ "../BENCH_model_check.json"; "BENCH_model_check.json" ]
+  in
+  match Option.map (BR.read_file model) path with
+  | None -> Alcotest.fail "BENCH_model_check.json missing"
+  | Some (Error e) -> Alcotest.failf "BENCH_model_check.json: %s" e
+  | Some (Ok v) -> (
+      match BR.validate model v with
+      | [] -> ()
+      | e ->
+          Alcotest.failf "BENCH_model_check.json invalid: %s" (String.concat "; " e))
 
 let () =
   Alcotest.run "model"

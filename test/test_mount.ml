@@ -29,11 +29,6 @@ let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "dbfs error: %s" (Dbfs.error_to_string e)
 
-let contains_sub hay needle =
-  let hl = String.length hay and nl = String.length needle in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  nl = 0 || go 0
-
 let small_config =
   {
     Block_device.block_size = 512;
@@ -376,25 +371,24 @@ let test_dirty_remount_replays () =
 (* ------------------------------------------------------------------ *)
 (* committed artifact + compare gate                                  *)
 
-let read_artifact name =
-  let path =
-    List.find_opt Sys.file_exists [ name; Filename.concat ".." name ]
-  in
-  match path with
-  | None -> Alcotest.failf "committed %s not found" name
-  | Some p -> (
-      match BR.read_file p with
-      | Some v -> v
-      | None -> Alcotest.failf "cannot parse %s" p)
-
 let test_committed_artifact () =
-  let v = read_artifact "BENCH_mount_scale.json" in
-  (match BR.validate_mount v with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "committed artifact invalid: %s" e);
+  let mount = BR.Section Rgpdos_bench.Sections.mount in
+  let path =
+    List.find_opt Sys.file_exists
+      [ "../BENCH_mount_scale.json"; "BENCH_mount_scale.json" ]
+  in
+  let v =
+    match Option.map (BR.read_file mount) path with
+    | None -> Alcotest.fail "BENCH_mount_scale.json missing"
+    | Some (Error e) -> Alcotest.failf "BENCH_mount_scale.json: %s" e
+    | Some (Ok v) -> v
+  in
+  (match BR.validate mount v with
+  | [] -> ()
+  | e -> Alcotest.failf "committed artifact invalid: %s" (String.concat "; " e));
   (* the committed evidence must span three decades of population *)
   let rows =
-    match Option.bind (Json.member "mount" v) Json.to_list with
+    match Option.bind (Json.member "mount" v.BR.detail) Json.to_list with
     | Some rows -> rows
     | None -> Alcotest.fail "no mount rows"
   in
@@ -405,22 +399,6 @@ let test_committed_artifact () =
   in
   let mx = List.fold_left max 0.0 pops and mn = List.fold_left min infinity pops in
   check_bool "population span >= 100x" true (mx /. mn >= 100.0)
-
-let test_compare_mount_gate () =
-  let v = read_artifact "BENCH_mount_scale.json" in
-  let committed =
-    match Option.bind (Json.member "read_ratio_max" v) Json.to_float with
-    | Some r -> r
-    | None -> Alcotest.fail "no read_ratio_max"
-  in
-  (match BR.compare_mount ~old_report:v ~read_ratio_max:committed with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "same ratio should pass the gate: %s" e);
-  match
-    BR.compare_mount ~old_report:v ~read_ratio_max:(committed *. 1.5)
-  with
-  | Ok _ -> Alcotest.fail "a 50% worse ratio must fail the gate"
-  | Error line -> check_bool "gate names the regression" true (contains_sub line "regressed")
 
 let () =
   Alcotest.run "mount"
@@ -441,6 +419,5 @@ let () =
         [
           Alcotest.test_case "committed artifact validates" `Quick
             test_committed_artifact;
-          Alcotest.test_case "compare gate" `Quick test_compare_mount_gate;
         ] );
     ]

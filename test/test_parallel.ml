@@ -427,33 +427,30 @@ let test_shard_bench_speedup () =
   let s = SB.speedup ~baseline:base four in
   check_bool
     (Printf.sprintf "4-shard speedup %.2f >= 2.5" s)
-    true (s >= BR.speedup_bar)
+    true (s >= 2.5)
 
 (* ------------------------------------------------------------------ *)
 (* committed artifact                                                 *)
 
 let test_committed_scale_artifact_validates () =
+  let scale = BR.Section Rgpdos_bench.Sections.scale in
   let path =
     List.find_opt Sys.file_exists
       [ "../BENCH_parallel_scale.json"; "BENCH_parallel_scale.json" ]
   in
-  match path with
+  match Option.map (BR.read_file scale) path with
   | None -> Alcotest.fail "BENCH_parallel_scale.json not found"
-  | Some p ->
-      let ic = open_in_bin p in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      let json = ok (Json.of_string s) in
-      (match BR.validate_scale json with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "artifact invalid: %s" e);
-      (match BR.scale_speedup_at json 4 with
+  | Some (Error e) -> Alcotest.failf "BENCH_parallel_scale.json: %s" e
+  | Some (Ok r) -> (
+      (match BR.validate scale r with
+      | [] -> ()
+      | e -> Alcotest.failf "artifact invalid: %s" (String.concat "; " e));
+      match List.assoc_opt "speedup_4_domains" r.BR.values with
       | Some s ->
           check_bool
             (Printf.sprintf "committed 4-domain speedup %.2f >= 2.5" s)
-            true (s >= BR.speedup_bar)
-      | None -> Alcotest.fail "no 4-domain row")
+            true (s >= 2.5)
+      | None -> Alcotest.fail "no 4-domain speedup")
 
 (* ------------------------------------------------------------------ *)
 

@@ -370,17 +370,18 @@ let test_backpressure_deterministic () =
 (* the committed benchmark artifact                                    *)
 
 let test_committed_artifact_validates () =
+  let segment = BR.Section Rgpdos_bench.Sections.segment in
   let path =
     if Sys.file_exists "BENCH_segment_io.json" then "BENCH_segment_io.json"
     else "../BENCH_segment_io.json"
   in
-  match BR.read_file path with
-  | None -> Alcotest.fail "read BENCH_segment_io.json failed"
-  | Some report -> (
-      (match BR.validate_segment report with
-      | Ok () -> ()
-      | Error e -> Alcotest.fail ("committed artifact invalid: " ^ e));
-      match BR.segment_ingest_of report with
+  match BR.read_file segment path with
+  | Error e -> Alcotest.failf "read BENCH_segment_io.json failed: %s" e
+  | Ok report -> (
+      (match BR.validate segment report with
+      | [] -> ()
+      | e -> Alcotest.failf "committed artifact invalid: %s" (String.concat "; " e));
+      match List.assoc_opt "segmented.ingest_mb_s" report.BR.values with
       | None -> Alcotest.fail "no segmented ingest figure in artifact"
       | Some mb_s ->
           check_bool "positive sustained ingest" true (mb_s > 0.0))

@@ -340,41 +340,24 @@ let artifact =
   List.find_opt Sys.file_exists
     [ "../BENCH_rights_sla.json"; "BENCH_rights_sla.json" ]
 
-let read_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_rights_sla.json missing (regenerate: dune exec bench/main.exe \
-         -- sla --sla-json BENCH_rights_sla.json)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> v)
+let sla = BR.Section Rgpdos_bench.Sections.sla
 
 let test_committed_sla_artifact_validates () =
-  let v = read_artifact () in
-  (match BR.validate_sla v with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "BENCH_rights_sla.json invalid: %s" e);
-  match BR.sla_improvement_of v with
+  let v =
+    match Option.map (BR.read_file sla) artifact with
+    | None -> Alcotest.fail "BENCH_rights_sla.json missing"
+    | Some (Error e) -> Alcotest.failf "BENCH_rights_sla.json: %s" e
+    | Some (Ok v) -> v
+  in
+  (match BR.validate sla v with
+  | [] -> ()
+  | e -> Alcotest.failf "BENCH_rights_sla.json invalid: %s" (String.concat "; " e));
+  match List.assoc_opt "art15_p99_improvement" v.BR.values with
   | None -> Alcotest.fail "no art15 improvement in the artifact"
-  | Some f ->
-      check_bool "committed improvement clears the absolute bar" true
-        (f >= BR.sla_improvement_bar)
-
-let test_compare_sla_gate () =
-  let v = read_artifact () in
-  (* both sides of the gate are held to the absolute bar *)
-  check_bool "fresh at the bar passes" true
-    (Result.is_ok (BR.compare_sla ~old_report:v ~improvement15:BR.sla_improvement_bar));
-  check_bool "fresh under the bar fails" true
-    (Result.is_error (BR.compare_sla ~old_report:v ~improvement15:4.2))
+  | Some f -> check_bool "committed improvement clears the 5x bar" true (f >= 5.0)
 
 let test_validate_sla_rejects_garbage () =
-  check_bool "empty object" true (Result.is_error (BR.validate_sla (Json.Obj [])))
+  check_bool "empty object" true (Result.is_error (BR.of_json sla (Json.Obj [])))
 
 let () =
   Alcotest.run "rights-sla"
@@ -411,8 +394,6 @@ let () =
         [
           Alcotest.test_case "BENCH_rights_sla.json validates" `Quick
             test_committed_sla_artifact_validates;
-          Alcotest.test_case "compare gate is absolute" `Quick
-            test_compare_sla_gate;
           Alcotest.test_case "garbage rejected" `Quick
             test_validate_sla_rejects_garbage;
         ] );

@@ -364,90 +364,44 @@ let fake_result ~subjects ~load_ns : E.e1_result =
     e1_device = [ ("merged_runs", 2); ("reads", 200); ("vec_reads", 2) ];
   }
 
+let vecio = BR.Section Rgpdos_bench.Sections.vecio
+
+let vecio_report scalar vectored =
+  BR.measure Rgpdos_bench.Sections.vecio ~quick:true ~wall_ms:1.0 (scalar, vectored)
+
 let test_make_vectored_validates () =
   let scalar = fake_result ~subjects:100 ~load_ns:1_000_000 in
   let vectored = fake_result ~subjects:100 ~load_ns:400_000 in
-  let report =
-    BR.make_vectored ~scalar ~scalar_wall_ms:1.0 ~vectored ~vectored_wall_ms:1.0 ()
-  in
-  (match BR.validate_vectored report with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "60%%-reduction report invalid: %s" e);
-  (match Json.of_string (Json.to_string report) with
-  | Ok parsed -> (
+  let report = vecio_report scalar vectored in
+  (match BR.validate vecio report with
+  | [] -> ()
+  | e -> Alcotest.failf "60%%-reduction report invalid: %s" (String.concat "; " e));
+  check_bool "load-stage reduction is 60%" true
+    (abs_float (List.assoc "reduction.load_stages" report.BR.values -. 60.0) < 1e-9);
+  let text = Json.to_string (BR.to_json vecio report) in
+  (match Result.bind (Json.of_string text) (BR.of_json vecio) with
+  | Ok parsed ->
       (* float rendering may round, so compare by re-validating *)
-      match BR.validate_vectored parsed with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "parsed report invalid: %s" e)
-  | Error e -> Alcotest.failf "emitted JSON does not parse: %s" e);
+      check_bool "parsed report valid" true (BR.validate vecio parsed = [])
+  | Error e -> Alcotest.failf "emitted JSON does not parse back: %s" e);
   (* a 20% reduction is below the 30% acceptance bar *)
   let shallow = fake_result ~subjects:100 ~load_ns:800_000 in
   check_bool "below-bar reduction rejected" true
-    (Result.is_error
-       (BR.validate_vectored
-          (BR.make_vectored ~scalar ~scalar_wall_ms:1.0 ~vectored:shallow
-             ~vectored_wall_ms:1.0 ())))
-
-let test_compare_gate () =
-  let old = fake_result ~subjects:100 ~load_ns:1_000_000 in
-  let old_report = BR.make ~quick:true ~micro:[] ~e1:(old, 1.0) () in
-  (* unchanged / improved: passes *)
-  (match BR.compare_e1 ~old_report old with
-  | Ok n -> check_bool "all stages checked" true (n >= 4)
-  | Error ls -> Alcotest.failf "clean run flagged: %s" (String.concat "; " ls));
-  (* a big load-stage regression trips the gate *)
-  (match BR.compare_e1 ~old_report (fake_result ~subjects:100 ~load_ns:2_000_000) with
-  | Ok _ -> Alcotest.fail "2x load-stage regression not caught"
-  | Error lines ->
-      check_bool "names the stage" true
-        (List.exists
-           (fun l ->
-             let has s sub =
-               let sl = String.length sub in
-               let rec go i =
-                 i + sl <= String.length s
-                 && (String.sub s i sl = sub || go (i + 1))
-               in
-               go 0
-             in
-             has l "ded_load_membrane")
-           lines));
-  (* growth on a sub-epsilon fixed-cost stage does not trip it *)
-  let tiny_growth =
-    {
-      old with
-      E.e1_stage_ns =
-        List.map
-          (fun (s, ns) -> if s = "ded_type2req" then (s, ns + 2_000) else (s, ns))
-          old.E.e1_stage_ns;
-    }
-  in
-  match BR.compare_e1 ~old_report tiny_growth with
-  | Ok _ -> ()
-  | Error ls ->
-      Alcotest.failf "epsilon should absorb +20 ns/subject on a 10 ns stage: %s"
-        (String.concat "; " ls)
-
-let artifact =
-  List.find_opt Sys.file_exists
-    [ "../BENCH_vectored_io.json"; "BENCH_vectored_io.json" ]
+    (BR.validate vecio (vecio_report scalar shallow) <> [])
 
 let test_committed_artifact () =
-  match artifact with
-  | None ->
-      Alcotest.fail
-        "BENCH_vectored_io.json missing (regenerate: dune exec bench/main.exe \
-         -- vecio --vec-json BENCH_vectored_io.json)"
-  | Some path -> (
-      let ic = open_in_bin path in
-      let raw = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Json.of_string raw with
-      | Error e -> Alcotest.failf "%s does not parse: %s" path e
-      | Ok v -> (
-          match BR.validate_vectored v with
-          | Ok () -> ()
-          | Error e -> Alcotest.failf "%s invalid: %s" path e))
+  let path =
+    List.find_opt Sys.file_exists
+      [ "../BENCH_vectored_io.json"; "BENCH_vectored_io.json" ]
+  in
+  match Option.map (BR.read_file vecio) path with
+  | None -> Alcotest.fail "BENCH_vectored_io.json missing"
+  | Some (Error e) -> Alcotest.failf "BENCH_vectored_io.json: %s" e
+  | Some (Ok v) -> (
+      match BR.validate vecio v with
+      | [] -> ()
+      | e ->
+          Alcotest.failf "BENCH_vectored_io.json invalid: %s" (String.concat "; " e))
 
 let () =
   Alcotest.run "vectored-io"
@@ -488,7 +442,6 @@ let () =
         [
           Alcotest.test_case "make_vectored validates" `Quick
             test_make_vectored_validates;
-          Alcotest.test_case "compare gate" `Quick test_compare_gate;
           Alcotest.test_case "committed artifact" `Quick test_committed_artifact;
         ] );
     ]
