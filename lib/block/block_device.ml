@@ -8,8 +8,6 @@ type config = {
   read_latency : Clock.ns;
   write_latency : Clock.ns;
   byte_latency : Clock.ns;
-  vectored : bool;
-  async : bool;
   queue_depth : int;
 }
 
@@ -20,9 +18,7 @@ let default_config =
     read_latency = 10_000 (* 10us *);
     write_latency = 20_000 (* 20us *);
     byte_latency = 2 (* ~0.5 GB/s *);
-    vectored = true;
-    async = false;
-    queue_depth = 8;
+    queue_depth = 1;
   }
 
 (* ---------- fault plan ----------
@@ -126,8 +122,8 @@ module Fault_plan = struct
     plan
 end
 
-(* An in-flight async request: the bytes (for reads) were captured at
-   submission, only the clock settlement is outstanding.  [tk_completion]
+(* A submitted request: the bytes (for reads) were captured at
+   submission, only the clock settlement may be outstanding.  [tk_completion]
    is the absolute simulated time the channel finishes servicing the
    request; [tk_service] is the request's own service time, used to
    account how much of it the caller's compute hid. *)
@@ -161,6 +157,8 @@ exception Faulted of int
 let create ?(config = default_config) ~clock () =
   if config.block_size <= 0 || config.block_count <= 0 then
     invalid_arg "Block_device.create: non-positive geometry";
+  if config.queue_depth < 1 then
+    invalid_arg "Block_device.create: queue depth below 1";
   {
     cfg = config;
     clock;
@@ -201,23 +199,11 @@ let read dev i =
   let b = dev.blocks.(i) in
   if b = "" then String.make dev.cfg.block_size '\000' else b
 
-(* Same simulated cost and accounting as [read], without moving the bytes:
-   callers holding a decoded in-memory copy (the DBFS membrane cache) use
-   this so the device-level cost model stays byte-identical. *)
-let charge_read dev i =
-  check dev i;
-  charge dev dev.cfg.read_latency dev.cfg.block_size;
-  Stats.Counter.incr dev.counters "reads";
-  Stats.Counter.incr dev.counters ~by:dev.cfg.block_size "bytes_read"
-
 (* ---------- vectored IO ----------
 
    A vectored request names a set of blocks.  We sort the set (elevator
    order), merge contiguous indices into runs, and charge ONE fixed seek
-   latency per run; the per-byte transfer cost is unchanged.  With
-   [cfg.vectored = false] the device degrades to the scalar cost model
-   (one seek per block) so before/after comparisons can run on the same
-   build at the same scale. *)
+   latency per run; the per-byte transfer cost is unchanged. *)
 
 (* Sorted, deduplicated copy of the requested indices. *)
 let sorted_unique indices =
@@ -241,62 +227,51 @@ let runs sorted =
   match sorted with [] -> [] | i :: rest -> go [] i 1 rest
 
 (* Cost of a vectored access of [sorted] blocks: [(service_ns, nruns)].
-   One [base] seek per contiguous run (per block when not vectored) plus
-   the per-byte transfer.  Shared by the synchronous charge path and the
-   async submission path so both bill the identical service time. *)
+   One [base] seek per contiguous run plus the per-byte transfer.  Shared
+   by the synchronous calls and the submission path so both bill the
+   identical service time. *)
 let vec_cost dev base sorted =
-  match sorted with
-  | [] -> (0, 0)
-  | _ ->
-      let nblocks = List.length sorted in
-      let rs = if dev.cfg.vectored then runs sorted else
-          List.map (fun i -> (i, 1)) sorted
-      in
-      let nruns = List.length rs in
-      ( (base * nruns) + (dev.cfg.byte_latency * dev.cfg.block_size * nblocks),
-        nruns )
-
-(* Charge seeks + transfer for a vectored access of [sorted] blocks and
-   bump the shared counters.  [base] is the fixed per-seek latency. *)
-let charge_vec dev base sorted =
-  let service, nruns = vec_cost dev base sorted in
-  if nruns > 0 then begin
-    Clock.advance dev.clock service;
-    Stats.Counter.incr dev.counters ~by:nruns "merged_runs"
-  end
+  let nruns = List.length (runs sorted) in
+  ( (base * nruns)
+    + (dev.cfg.byte_latency * dev.cfg.block_size * List.length sorted),
+    nruns )
 
 let block_contents dev i =
   let b = dev.blocks.(i) in
   if b = "" then String.make dev.cfg.block_size '\000' else b
 
-(* [read_vec dev indices] reads all the named blocks in one request and
-   returns an association list [(index, contents)] covering every
-   requested index (duplicates collapsed).  Cost: one [read_latency] seek
-   per contiguous run plus the usual per-byte charge. *)
-let read_vec dev indices =
-  let sorted = sorted_unique indices in
-  List.iter (check dev) sorted;
-  charge_vec dev dev.cfg.read_latency sorted;
-  Stats.Counter.incr dev.counters "vec_reads";
-  Stats.Counter.incr dev.counters ~by:(List.length sorted) "reads";
-  Stats.Counter.incr dev.counters
-    ~by:(dev.cfg.block_size * List.length sorted)
-    "bytes_read";
-  List.map (fun i -> (i, block_contents dev i)) sorted
-
-(* Cost-and-accounting-only variant of [read_vec], for callers that hold
-   decoded copies (read caches): identical clock charge and counters, no
-   byte movement.  This keeps cache hits cost-transparent under the
-   vectored model, exactly as [charge_read] does for scalar reads. *)
-let charge_read_vec dev indices =
-  let sorted = sorted_unique indices in
-  List.iter (check dev) sorted;
-  charge_vec dev dev.cfg.read_latency sorted;
+let account_read dev sorted nruns =
+  Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
   Stats.Counter.incr dev.counters "vec_reads";
   Stats.Counter.incr dev.counters ~by:(List.length sorted) "reads";
   Stats.Counter.incr dev.counters
     ~by:(dev.cfg.block_size * List.length sorted)
     "bytes_read"
+
+let account_write dev sorted nruns =
+  Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
+  Stats.Counter.incr dev.counters "vec_writes";
+  Stats.Counter.incr dev.counters ~by:(List.length sorted) "writes";
+  Stats.Counter.incr dev.counters
+    ~by:(dev.cfg.block_size * List.length sorted)
+    "bytes_written"
+
+(* A synchronous vectored read: one [read_latency] seek per contiguous
+   run plus the per-byte charge.  [move] says whether the bytes are
+   returned; the charge-only form serves read caches that hold decoded
+   copies, so a hit costs the same simulated device time as the miss it
+   replaces. *)
+let read_common dev ~move indices =
+  let sorted = sorted_unique indices in
+  List.iter (check dev) sorted;
+  let service, nruns = vec_cost dev dev.cfg.read_latency sorted in
+  Clock.advance dev.clock service;
+  account_read dev sorted nruns;
+  if move then List.map (fun i -> (i, block_contents dev i)) sorted else []
+
+let read_vec dev indices = read_common dev ~move:true indices
+
+let charge_read_vec dev indices = ignore (read_common dev ~move:false indices)
 
 let store dev i data =
   let len = String.length data in
@@ -356,7 +331,7 @@ let dedup_writes writes =
   List.map (fun i -> (i, Hashtbl.find last i)) sorted
 
 (* Persist a deduplicated, checked vectored write and run its fault-plan
-   dispatch.  This is the byte-and-fault half of [write_vec]; the async
+   dispatch.  This is the byte-and-fault half of [write_vec]; the
    submission path calls it at submit time so on-device state, write-op
    ordinals and crash images never depend on when completions settle. *)
 let persist_vec dev sorted writes =
@@ -370,10 +345,7 @@ let persist_vec dev sorted writes =
       maybe_capture_crash dev;
       raise (Faulted first)
   | Some (Fault_plan.Torn_write { keep_runs }) ->
-      let rs =
-        if dev.cfg.vectored then runs sorted
-        else List.map (fun i -> (i, 1)) sorted
-      in
+      let rs = runs sorted in
       let kept = List.filteri (fun k _ -> k < keep_runs) rs in
       let in_kept i =
         List.exists (fun (s, l) -> i >= s && i < s + l) kept
@@ -401,12 +373,9 @@ let write_vec dev writes =
   | writes ->
       let sorted = List.map fst writes in
       List.iter (check dev) sorted;
-      charge_vec dev dev.cfg.write_latency sorted;
-      Stats.Counter.incr dev.counters "vec_writes";
-      Stats.Counter.incr dev.counters ~by:(List.length sorted) "writes";
-      Stats.Counter.incr dev.counters
-        ~by:(dev.cfg.block_size * List.length sorted)
-        "bytes_written";
+      let service, nruns = vec_cost dev dev.cfg.write_latency sorted in
+      Clock.advance dev.clock service;
+      account_write dev sorted nruns;
       persist_vec dev sorted writes
 
 let write dev i data =
@@ -436,24 +405,20 @@ let write dev i data =
       flip_bit_raw dev ~block ~byte ~bit;
       maybe_capture_crash dev
 
-(* ---------- asynchronous submission / completion ----------
+(* ---------- submission / completion ----------
 
    io_uring-style queue pairs on the simulated clock.  A submission moves
    bytes (and runs the whole write-path fault machinery) immediately —
    on-device state, outcomes and counters can never depend on settlement
-   order — but its TIME is deferred: the request occupies one of the
-   channel's [queue_depth] service slots, starting no earlier than the
-   submission instant and no earlier than the slot frees up, and [await]
-   advances the clock only to the request's completion instant.  Whatever
-   compute the caller performed between submit and await therefore hides
-   an equal amount of device time, tallied in [overlap_ns_hidden].
-
-   With [cfg.async = false] a submission degrades to the synchronous
-   vectored call (identical clock charge, identical counters) and [await]
-   is a no-op, so the same consumer code A/Bs the two models on one
-   build. *)
-
-let async_enabled dev = dev.cfg.async
+   order.  At queue depth 1 the device is synchronous: the submission
+   charges its service at once and returns a settled ticket, exactly
+   like [read_vec]/[write_vec].  Deeper, the TIME is deferred: the
+   request occupies one of the channel's [queue_depth] service slots,
+   starting no earlier than the submission instant and no earlier than
+   the slot frees up, and [await] advances the clock only to the
+   request's completion instant.  Whatever compute the caller performed
+   between submit and await therefore hides an equal amount of device
+   time, tallied in [overlap_ns_hidden]. *)
 
 let settled_ticket payload =
   { tk_service = 0; tk_completion = 0; tk_payload = payload; tk_settled = true }
@@ -468,7 +433,7 @@ let channel_slots dev ch =
   match Hashtbl.find_opt dev.channels ch with
   | Some s -> s
   | None ->
-      let s = Array.make (max 1 dev.cfg.queue_depth) 0 in
+      let s = Array.make dev.cfg.queue_depth 0 in
       Hashtbl.add dev.channels ch s;
       s
 
@@ -485,24 +450,35 @@ let enqueue dev ~channel service =
   slots.(!best) <- completion;
   completion
 
-let track dev tk =
-  dev.pending_tk <- tk :: dev.pending_tk;
-  dev.outstanding <- dev.outstanding + 1;
-  note_highwater dev;
-  tk
-
-let account_read dev sorted nruns =
-  Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
-  Stats.Counter.incr dev.counters "vec_reads";
-  Stats.Counter.incr dev.counters ~by:(List.length sorted) "reads";
-  Stats.Counter.incr dev.counters
-    ~by:(dev.cfg.block_size * List.length sorted)
-    "bytes_read"
+(* Charge a submission of [service] ns: at depth 1 at once, settled on
+   return; deeper, in a slot of [channel], settled by [await]. *)
+let schedule dev ~channel service payload =
+  Stats.Counter.incr dev.counters "async_submits";
+  Stats.Counter.incr dev.counters ~by:service "async_service_ns";
+  if dev.cfg.queue_depth = 1 then begin
+    Clock.advance dev.clock service;
+    Stats.Counter.incr dev.counters "async_completions";
+    settled_ticket payload
+  end
+  else begin
+    let tk =
+      {
+        tk_service = service;
+        tk_completion = enqueue dev ~channel service;
+        tk_payload = payload;
+        tk_settled = false;
+      }
+    in
+    dev.pending_tk <- tk :: dev.pending_tk;
+    dev.outstanding <- dev.outstanding + 1;
+    note_highwater dev;
+    tk
+  end
 
 (* Shared by the real and charge-only read submissions: [move] controls
    whether payload bytes are captured, nothing else.  Cache hits submitted
    through the charge-only variant therefore queue, cost and settle
-   exactly like cold reads — the warm==cold rule under the async model. *)
+   exactly like cold reads — the warm==cold rule at every depth. *)
 let submit_read_common dev ~channel ~move indices =
   let sorted = sorted_unique indices in
   match sorted with
@@ -514,31 +490,8 @@ let submit_read_common dev ~channel ~move indices =
         if move then List.map (fun i -> (i, block_contents dev i)) sorted
         else []
       in
-      Stats.Counter.incr dev.counters "async_submits";
-      Stats.Counter.incr dev.counters ~by:service "async_service_ns";
-      if not dev.cfg.async then begin
-        (* synchronous degradation: exactly [read_vec]/[charge_read_vec] *)
-        Clock.advance dev.clock service;
-        Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
-        Stats.Counter.incr dev.counters "vec_reads";
-        Stats.Counter.incr dev.counters ~by:(List.length sorted) "reads";
-        Stats.Counter.incr dev.counters
-          ~by:(dev.cfg.block_size * List.length sorted)
-          "bytes_read";
-        Stats.Counter.incr dev.counters "async_completions";
-        settled_ticket payload
-      end
-      else begin
-        account_read dev sorted nruns;
-        let completion = enqueue dev ~channel service in
-        track dev
-          {
-            tk_service = service;
-            tk_completion = completion;
-            tk_payload = payload;
-            tk_settled = false;
-          }
-      end
+      account_read dev sorted nruns;
+      schedule dev ~channel service payload
 
 let submit_read_vec dev ?(channel = 0) indices =
   submit_read_common dev ~channel ~move:true indices
@@ -546,13 +499,12 @@ let submit_read_vec dev ?(channel = 0) indices =
 let submit_charge_read_vec dev ?(channel = 0) indices =
   submit_read_common dev ~channel ~move:false indices
 
-(* Async vectored write: dedup/check/counters/persistence (including the
-   fault plan and crash capture) all happen here at submission, in the
-   same order as [write_vec]; only the clock settlement is deferred.  The
-   channel slot is reserved BEFORE the fault dispatch so a faulted op
-   still consumes its service time (as the synchronous path charges
-   before raising) — the un-returned ticket settles at the next
-   [drain]. *)
+(* Vectored write submission: dedup/check/counters/persistence (including
+   the fault plan and crash capture) all happen here, in the same order
+   as [write_vec]; only the clock settlement may be deferred.  The
+   service is scheduled BEFORE the fault dispatch so a faulted op still
+   consumes its service time (as [write_vec] charges before raising) —
+   an un-returned ticket settles at the next [drain]. *)
 let submit_write_vec dev ?(channel = 0) writes =
   match dedup_writes writes with
   | [] -> settled_ticket []
@@ -560,40 +512,10 @@ let submit_write_vec dev ?(channel = 0) writes =
       let sorted = List.map fst writes in
       List.iter (check dev) sorted;
       let service, nruns = vec_cost dev dev.cfg.write_latency sorted in
-      Stats.Counter.incr dev.counters "async_submits";
-      Stats.Counter.incr dev.counters ~by:service "async_service_ns";
-      if not dev.cfg.async then begin
-        Clock.advance dev.clock service;
-        Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
-        Stats.Counter.incr dev.counters "vec_writes";
-        Stats.Counter.incr dev.counters ~by:(List.length sorted) "writes";
-        Stats.Counter.incr dev.counters
-          ~by:(dev.cfg.block_size * List.length sorted)
-          "bytes_written";
-        Stats.Counter.incr dev.counters "async_completions";
-        persist_vec dev sorted writes;
-        settled_ticket []
-      end
-      else begin
-        Stats.Counter.incr dev.counters ~by:nruns "merged_runs";
-        Stats.Counter.incr dev.counters "vec_writes";
-        Stats.Counter.incr dev.counters ~by:(List.length sorted) "writes";
-        Stats.Counter.incr dev.counters
-          ~by:(dev.cfg.block_size * List.length sorted)
-          "bytes_written";
-        let completion = enqueue dev ~channel service in
-        let tk =
-          track dev
-            {
-              tk_service = service;
-              tk_completion = completion;
-              tk_payload = [];
-              tk_settled = false;
-            }
-        in
-        persist_vec dev sorted writes;
-        tk
-      end
+      account_write dev sorted nruns;
+      let tk = schedule dev ~channel service [] in
+      persist_vec dev sorted writes;
+      tk
 
 (* Settle a completion: advance the clock to the request's completion
    instant (zero if the caller's compute already passed it) and account

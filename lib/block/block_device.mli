@@ -17,28 +17,23 @@ type config = {
   read_latency : Rgpdos_util.Clock.ns;   (** fixed cost per read *)
   write_latency : Rgpdos_util.Clock.ns;  (** fixed cost per write *)
   byte_latency : Rgpdos_util.Clock.ns;   (** additional cost per byte moved *)
-  vectored : bool;
-  (** when true (the default), vectored requests charge one fixed seek per
-      merged contiguous run; when false they degrade to one seek per block
-      (the scalar cost model), letting before/after comparisons run on the
-      same build. *)
-  async : bool;
-  (** when true, {!submit_read_vec}/{!submit_write_vec} defer their clock
-      charge to {!await} through per-channel service slots, so compute
-      performed between submit and await hides device time; when false
-      (the default) a submission charges synchronously — byte- and
-      clock-identical to {!read_vec}/{!write_vec} — letting before/after
-      comparisons run on the same build. *)
   queue_depth : int;
-  (** service slots per channel under [async]: how many submissions one
-      channel services concurrently before further requests queue behind
-      the earliest free slot. *)
+  (** service slots per channel, at least 1.  At depth 1 (the default)
+      the device is synchronous: every [submit_*] charges its service at
+      once and returns a settled ticket, byte- and clock-identical to
+      {!read_vec}/{!write_vec}.  Deeper, a submission defers its charge
+      to {!await}, so compute between submit and await hides device
+      time; one channel services [queue_depth] submissions concurrently
+      before further requests queue behind the earliest free slot. *)
 }
 
 val default_config : config
-(** 4 KiB blocks, 16 Ki blocks (64 MiB), NVMe-flash-like latencies. *)
+(** 4 KiB blocks, 16 Ki blocks (64 MiB), NVMe-flash-like latencies,
+    queue depth 1. *)
 
 val create : ?config:config -> clock:Rgpdos_util.Clock.t -> unit -> t
+(** Raises [Invalid_argument] on non-positive geometry or a queue depth
+    below 1. *)
 
 val config : t -> config
 
@@ -55,13 +50,6 @@ val read : t -> int -> string
 (** [read dev i] returns the contents of block [i] (always [block_size]
     bytes; unwritten blocks read as zeros). *)
 
-val charge_read : t -> int -> unit
-(** Charge exactly the simulated cost (and IO statistics) of [read dev i]
-    without transferring the block's bytes.  Used by read caches that hold
-    a decoded copy in host memory: the host-side work disappears but the
-    simulated device cost model — and therefore every experiment's
-    [stage_ns] accounting — is unchanged. *)
-
 val read_vec : t -> int list -> (int * string) list
 (** [read_vec dev indices] reads all the named blocks in one vectored
     request.  The indices are sorted (elevator order), duplicates are
@@ -72,9 +60,9 @@ val read_vec : t -> int list -> (int * string) list
 
 val charge_read_vec : t -> int list -> unit
 (** Charge exactly the simulated cost (and IO statistics) of
-    [read_vec dev indices] without transferring any bytes.  The vectored
-    analogue of {!charge_read}: read caches use it so a cache hit costs
-    the same simulated device time as the vectored miss it replaces. *)
+    [read_vec dev indices] without transferring any bytes: read caches
+    use it so a cache hit costs the same simulated device time as the
+    vectored miss it replaces. *)
 
 val write_vec : t -> (int * string) list -> unit
 (** [write_vec dev writes] stores every [(index, data)] pair in one
@@ -88,48 +76,45 @@ val write : t -> int -> string -> unit
 (** [write dev i data] stores [data] as block [i].  [data] shorter than
     [block_size] is zero-padded; longer raises [Invalid_argument]. *)
 
-(** {1 Asynchronous submission / completion}
+(** {1 Submission / completion}
 
     io_uring-style queue pairs on the simulated clock.  A submission
     moves bytes immediately — writes persist (and run the whole
     fault-plan dispatch, write-op ordinals and crash capture) at submit
     time, reads capture their payload at submit time — so on-device
-    state, outcomes and IO counters are identical to the synchronous
-    calls regardless of when completions settle.  Only TIME is deferred:
-    each request occupies one of its channel's [queue_depth] service
-    slots and {!await} advances the clock to the request's completion
-    instant, charging zero when the caller's compute between submit and
-    await already covered it (the hidden time is tallied in the
-    ["overlap_ns_hidden"] counter).
-
-    With [config.async = false] submissions charge synchronously and
-    {!await} never advances the clock, making the async API byte- and
-    clock-identical to the scalar model for same-build A/B runs. *)
+    state, outcomes and IO counters are identical at every queue depth,
+    regardless of when completions settle.  Only TIME depends on the
+    depth.  At [queue_depth = 1] a submission charges at once, exactly
+    as {!read_vec}/{!write_vec} do, and {!await} never advances the
+    clock.  Deeper, each request occupies one of its channel's
+    [queue_depth] service slots and {!await} advances the clock to the
+    request's completion instant, charging zero when the caller's
+    compute between submit and await already covered it (the hidden
+    time is tallied in the ["overlap_ns_hidden"] counter). *)
 
 type ticket
-(** An in-flight submission.  Settle it with {!await} (idempotent). *)
-
-val async_enabled : t -> bool
-(** [config.async] — consumers branch on this to keep their synchronous
-    batch shape (and therefore its exact charging) when async is off. *)
+(** A submission.  Settle it with {!await} (idempotent). *)
 
 val submit_read_vec : t -> ?channel:int -> int list -> ticket
-(** Enqueue the vectored read of {!read_vec} on [channel] (default 0).
+(** Submit the vectored read of {!read_vec} on [channel] (default 0).
     Payload bytes are captured and faults raised at submission; the
-    clock charge settles at {!await}.  Same counters as {!read_vec}. *)
+    clock charge is taken at once at depth 1 and settles at {!await}
+    deeper.  The counters of {!read_vec}, plus the submission
+    telemetry. *)
 
 val submit_charge_read_vec : t -> ?channel:int -> int list -> ticket
-(** Cost-and-accounting-only {!submit_read_vec} (the async analogue of
+(** Cost-and-accounting-only {!submit_read_vec} (the submitted form of
     {!charge_read_vec}): cache hits queue, cost and settle exactly like
-    the cold read they replace, so warm==cold holds under async too.
+    the cold read they replace, so warm==cold holds at every depth.
     The ticket's payload is empty. *)
 
 val submit_write_vec : t -> ?channel:int -> (int * string) list -> ticket
-(** Enqueue the vectored write of {!write_vec} on [channel].  Bytes
+(** Submit the vectored write of {!write_vec} on [channel].  Bytes
     persist and the fault plan dispatches at submission (raising
-    {!Faulted} exactly as {!write_vec} would); the clock charge settles
-    at {!await} — callers needing a durability barrier await the ticket
-    (or {!drain}) before depending on the op's time being charged. *)
+    {!Faulted} exactly as {!write_vec} would); the clock charge is taken
+    at once at depth 1 and settles at {!await} deeper — callers needing
+    a durability barrier await the ticket (or {!drain}) before depending
+    on the op's time being charged. *)
 
 val await : t -> ticket -> (int * string) list
 (** Settle a completion: advance the clock to the request's completion
@@ -265,11 +250,11 @@ val stats : t -> Rgpdos_util.Stats.Counter.t
     requests (scalar or vectored) — the ordinal space fault plans schedule
     against.
 
-    Async observability (all 0 until the async API is used):
+    Submission observability (all 0 until a [submit_*] call is made):
     "async_submits" / "async_completions" (submissions issued / settled,
-    counted in both async and sync-degraded mode), "async_service_ns"
-    (total service time submitted), "overlap_ns_hidden" (service time
-    hidden behind caller compute — the overlap ratio is
+    counted at every depth), "async_service_ns" (total service time
+    submitted), and, at depth > 1 only, "overlap_ns_hidden" (service
+    time hidden behind caller compute — the overlap ratio is
     [overlap_ns_hidden / async_service_ns]) and "queue_depth_highwater"
     (maximum simultaneously in-flight submissions). *)
 

@@ -19,12 +19,13 @@ type t = {
   mutable batches : int; (* vectored flushes issued *)
   mutable batched_ops : int; (* records that went through a vectored flush *)
   mutable inflight : Block_device.ticket list;
-      (* async flush submissions not yet settled.  The bytes are durable
-         at submission; only their clock charge is outstanding, settled
-         by [barrier] at the caller's durability points. *)
+      (* flush submissions, possibly not yet settled.  The bytes are
+         durable at submission; only their clock charge may be
+         outstanding, settled by [barrier] at the caller's durability
+         points. *)
 }
 
-(* Channel the ring's async flushes queue on: negative so it can never
+(* Channel the ring's flushes queue on: negative so it can never
    collide with the consumer-facing channels (DED shards use 0..n). *)
 let flush_channel = -1
 
@@ -166,14 +167,17 @@ let flush ring =
       let writes =
         List.rev_map (fun blk -> (blk, Bytes.to_string (Hashtbl.find tbl blk))) !order
       in
-      (* Async devices take the flush as a submission: the framed bytes
-         are on the medium when submit returns (replay/crash semantics
-         unchanged), only the clock settlement waits for [barrier]. *)
-      if Block_device.async_enabled ring.dev then
-        ring.inflight <-
-          Block_device.submit_write_vec ring.dev ~channel:flush_channel writes
-          :: ring.inflight
-      else Block_device.write_vec ring.dev writes;
+      (* The flush is a submission: the framed bytes are on the medium
+         when submit returns (replay/crash semantics unchanged); at depth
+         > 1 the clock settlement waits for [barrier]. *)
+      let tk =
+        Block_device.submit_write_vec ring.dev ~channel:flush_channel writes
+      in
+      (* nothing outstanding on the device: every flush so far is
+         settled (always so at depth 1), so keep no tickets *)
+      ring.inflight <-
+        (if Block_device.outstanding ring.dev = 0 then []
+         else tk :: ring.inflight);
       ring.jhead <- ring.jhead + len;
       ring.live_records <- ring.live_records + nrec;
       ring.batches <- ring.batches + 1;
@@ -181,8 +185,8 @@ let flush ring =
       ring.pending <- [];
       ring.pending_bytes <- 0
 
-(* Settle every async flush submission: the ring's durability barrier.
-   A no-op on synchronous devices and when nothing is in flight. *)
+(* Settle every flush submission: the ring's durability barrier.  Free
+   at depth 1, where every submission settles when it is made. *)
 let barrier ring =
   (match ring.inflight with
   | [] -> ()

@@ -47,12 +47,12 @@ val flush : t -> unit
     No-op when nothing is pending. *)
 
 val barrier : t -> unit
-(** Settle the clock charge of every asynchronously submitted flush (the
-    ring's durability barrier).  Flushed bytes are always on the medium
-    when {!flush} returns — on an async {!Block_device} only their
+(** Settle the clock charge of every submitted flush (the ring's
+    durability barrier).  Flushed bytes are always on the medium when
+    {!flush} returns — at {!Block_device} queue depth > 1 only their
     simulated time is deferred, and callers settle it here at their
-    durability points (checkpoint, purge, compaction).  No-op on a
-    synchronous device. *)
+    durability points (checkpoint, purge, compaction).  No-op at depth
+    1. *)
 
 val pending_ops : t -> int
 (** Buffered records not yet durable. *)

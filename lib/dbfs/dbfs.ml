@@ -120,7 +120,7 @@ type t = {
   cache : cached Cache.t;
   page_prefetch : (int, Block_device.ticket) Hashtbl.t;
       (* speculative index-page reads submitted ahead of the descent
-         (async devices only), keyed by first block.  [read_page] consumes
+         (queue depth > 1 only), keyed by first block.  [read_page] consumes
          a pending ticket instead of re-reading; checkpoint settles and
          drops leftovers alongside the page-cache invalidation. *)
   (* log-structured mode: payload extents bump-allocate inside per-zone
@@ -530,15 +530,16 @@ let read_payload t blocks size =
 let charge_payload_read t blocks =
   retrying t (fun () -> Block_device.charge_read_vec t.dev blocks)
 
-(* Channels the store's own async traffic queues on: negative so they can
+(* Channels the store's own submissions queue on: negative so they can
    never collide with consumer-facing channels (DED shards use 0..n).
    [-1] is the journal ring's flush channel. *)
 let compact_channel = -2
 let prefetch_channel = -3
 
-(* Async submission of [write_payload]'s vectored op: the bytes persist
-   (and any write fault fires) at submit, the clock charge settles when
-   the caller awaits the ticket at its durability barrier. *)
+(* Submitted form of [write_payload]'s vectored op: the bytes persist
+   (and any write fault fires) at submit; deeper than depth 1 the clock
+   charge settles when the caller awaits the ticket at its durability
+   barrier. *)
 let submit_payload_write t payload blocks ~channel =
   let bs = block_size t in
   match blocks with
@@ -630,9 +631,11 @@ let page_io t =
                   (retrying t (fun () -> Block_device.read_vec t.dev blocks))));
     prefetch_page =
       (fun first n ->
+        (* only a queue deeper than 1 can overlap the prefetch with the
+           descent; a cached page is prefetched too, so the hit that
+           settles the ticket charges what a cold miss would *)
         if
-          Block_device.async_enabled t.dev
-          && (not (Cache.mem t.cache ("p:" ^ string_of_int first)))
+          (Block_device.config t.dev).Block_device.queue_depth > 1
           && not (Hashtbl.mem t.page_prefetch first)
         then
           let blocks = List.init n (fun i -> first + i) in
@@ -1280,7 +1283,7 @@ let checkpoint t =
   t.active_half <- target;
   t.heap_used <- !used;
   commit_root t;
-  (* durability barrier: settle async flush submissions (their bytes are
+  (* durability barrier: settle flush submissions (their bytes are
      already on the medium) before retiring the journal prefix *)
   Journal_ring.barrier t.ring;
   Journal_ring.mark_checkpointed t.ring;
@@ -1731,21 +1734,6 @@ let resolve_entries t pd_ids =
   in
   go [] pd_ids
 
-(* Issue the batch request for [blocks]: a full [read_vec] when at least
-   one entry needs bytes, a cost-only [charge_read_vec] when every entry
-   is cached.  Returns an index->contents lookup. *)
-let batch_read t ~any_miss blocks =
-  if any_miss then begin
-    let got = retrying t (fun () -> Block_device.read_vec t.dev blocks) in
-    let h = Hashtbl.create (max 16 (2 * List.length got)) in
-    List.iter (fun (i, s) -> Hashtbl.replace h i s) got;
-    h
-  end
-  else begin
-    retrying t (fun () -> Block_device.charge_read_vec t.dev blocks);
-    Hashtbl.create 1
-  end
-
 let assemble h blocks size =
   let buf = Buffer.create size in
   List.iter (fun b -> Buffer.add_string buf (Hashtbl.find h b)) blocks;
@@ -1767,14 +1755,14 @@ let chunk_entries entries n =
     go [] [] 0 entries
   end
 
-(* Pipelined batch load (async devices): split the entry batch into
-   [queue_depth] chunks, submit every chunk's vectored read up-front on
-   [channel], then settle chunk k only when its entries decode — the
-   checksum/decode compute of chunk k overlaps the in-flight service of
-   chunks k+1..  Chunking depends only on the entry list, and cache-hit
-   batches submit through the charge-only variant with the identical
-   chunk shape, so warm==cold holds under async exactly as it does for
-   the one-request synchronous batch.  [blocks_of] names each entry's
+(* The batch load: split the entry batch into [queue_depth] chunks,
+   submit every chunk's vectored read up-front on [channel], then settle
+   chunk k only when its entries decode — the checksum/decode compute of
+   chunk k overlaps the in-flight service of chunks k+1..  At depth 1
+   this is one synchronous request for the whole batch.  Chunking
+   depends only on the entry list, and cache-hit batches submit through
+   the charge-only variant with the identical chunk shape, so warm==cold
+   holds at every depth.  [blocks_of] names each entry's
    extent; [decode] folds one chunk's entries against its block table. *)
 let pipelined_read t ~channel ~any_miss ~blocks_of ~decode entries =
   let depth = (Block_device.config t.dev).Block_device.queue_depth in
@@ -1834,16 +1822,9 @@ let get_membranes t ~actor ?(channel = 0) pd_ids =
     go acc entries
   in
   protect_read (fun () ->
-      if Block_device.async_enabled t.dev then
-        pipelined_read t ~channel ~any_miss
-          ~blocks_of:(fun e -> e.membrane_blocks)
-          ~decode entries
-      else begin
-        let blocks = List.concat_map (fun e -> e.membrane_blocks) entries in
-        let h = batch_read t ~any_miss blocks in
-        let** acc = decode h [] entries in
-        Ok (List.rev acc)
-      end)
+      pipelined_read t ~channel ~any_miss
+        ~blocks_of:(fun e -> e.membrane_blocks)
+        ~decode entries)
 
 (* Erased pds yield [None] (their sealed payload is not PD and is not
    read), matching the DED's skip-erased semantics without forcing every
@@ -1886,15 +1867,8 @@ let get_records t ~actor ?(channel = 0) pd_ids =
     go acc entries
   in
   protect_read (fun () ->
-      if Block_device.async_enabled t.dev then
-        pipelined_read t ~channel ~any_miss ~blocks_of:live_blocks ~decode
-          entries
-      else begin
-        let blocks = List.concat_map live_blocks entries in
-        let h = batch_read t ~any_miss blocks in
-        let** acc = decode h [] entries in
-        Ok (List.rev acc)
-      end)
+      pipelined_read t ~channel ~any_miss ~blocks_of:live_blocks ~decode
+        entries)
 
 let update_record t ~actor pd_id record =
   let** () = guard t ~actor ~op:"write" in
@@ -2154,9 +2128,9 @@ let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct
                   | None -> List.map verify items
                 in
                 let relocated = ref 0 in
-                (* async devices: relocation payload writes are submitted
-                   and settled in one batch at the durability barrier
-                   below, overlapping their service with the decode and
+                (* relocation payload writes are submitted and settled
+                   in one batch at the durability barrier below; at
+                   depth > 1 their service overlaps the decode and
                    journaling compute of later survivors *)
                 let wtickets = ref [] in
                 List.iter2
@@ -2177,14 +2151,12 @@ let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct
                       match dest with
                       | None -> () (* no room: survivor stays put *)
                       | Some blocks ->
-                          (if Block_device.async_enabled t.dev then
-                             match
-                               submit_payload_write t raw blocks
-                                 ~channel:compact_channel
-                             with
-                             | Some tk -> wtickets := tk :: !wtickets
-                             | None -> ()
-                           else write_payload t raw blocks);
+                          (match
+                             submit_payload_write t raw blocks
+                               ~channel:compact_channel
+                           with
+                          | Some tk -> wtickets := tk :: !wtickets
+                          | None -> ());
                           let hint, op =
                             match kind with
                             | `Membrane ->
@@ -2208,8 +2180,8 @@ let compact ?(max_victims = compact_batch) ?(liveness_pct = compact_liveness_pct
                 Stats.Counter.incr t.counters ~by:!relocated
                   "compact_relocations";
                 (* make the relocations durable, then destroy the victims:
-                   settle the submitted payload writes and every async
-                   flush before any victim block is trimmed or zeroed *)
+                   settle the submitted payload writes and every
+                   journal flush before any victim block is trimmed or zeroed *)
                 List.iter
                   (fun tk -> ignore (Block_device.await t.dev tk))
                   (List.rev !wtickets);
@@ -2374,8 +2346,8 @@ let select t ~actor ?(use_indexes = true) ?(channel = 0) type_name pred =
             | Error _ -> false
           in
           let residual pd_ids =
-            (* one batched vectored load, then the full predicate.  On an
-               async device the probe's posting list is submitted as
+            (* one batched vectored load, then the full predicate.  At
+               depth > 1 the probe's posting list is submitted as
                pipelined reads ahead of residual evaluation: chunk k's
                decode and predicate work overlaps the in-flight service
                of chunks k+1.. *)

@@ -149,11 +149,11 @@ val get_membranes :
     every stage_ns figure) is identical whether the cache is cold or
     warm.
 
-    On an async device the batch is split into [queue_depth] contiguous
+    At queue depth > 1 the batch is split into [queue_depth] contiguous
     chunks submitted up-front on [?channel] (default 0): chunk [k]'s
     decode overlaps the device service of chunks [k+1..], so the batch
     charges its critical path instead of the serial sum.  Bytes, results
-    and all non-latency counters are identical to the synchronous path. *)
+    and all byte-movement counters are identical to depth 1. *)
 
 val get_records :
   t ->
@@ -164,7 +164,7 @@ val get_records :
 (** Batched record load, one vectored request for the selection (input
     order preserved).  Erased pds yield [None] — their sealed payload is
     neither read nor charged — matching the DED's skip-erased semantics.
-    Any unknown pd fails the whole batch.  Pipelined on async devices
+    Any unknown pd fails the whole batch.  Pipelined at depth > 1
     exactly like {!get_membranes}. *)
 
 val update_record :
@@ -251,7 +251,7 @@ val select :
     DBFS read path.  [?use_indexes:false] forces the full-scan path (for
     measurement; results are identical).
 
-    On an async device the residual record fetch rides [?channel]
+    At queue depth > 1 the residual record fetch rides [?channel]
     (default 0): index probes submit the candidate loads so their device
     service overlaps residual evaluation, and interior B+-tree descents
     prefetch the next sibling page ahead of the current decode. *)

@@ -1,7 +1,7 @@
-(* The asynchronous submission/completion queues: engine arithmetic,
-   the qcheck async==sync law (an op script produces identical images,
-   payloads and counters at every queue depth — only the latency
-   telemetry may differ), the DBFS warm==cold pin under async, and the
+(* The submission/completion queues: engine arithmetic (depth 1 is the
+   synchronous device), the qcheck law (an op script produces identical
+   images, payloads and counters at every queue depth — only the latency
+   telemetry may differ), the DBFS warm==cold pin at depth > 1, and the
    BENCH_async_io.json artifact machinery (regression gate included). *)
 
 module Clock = Rgpdos_util.Clock
@@ -30,38 +30,34 @@ let counter dev name = Stats.Counter.get (Block_device.stats dev) name
 (* 16-byte blocks, seek 10, 1 ns/byte: a single-block vectored read
    costs exactly 26 ns — small enough to do the queue arithmetic by
    hand. *)
-let async_config ~async ~queue_depth =
+let async_config ~queue_depth =
   {
     Block_device.block_size = 16;
     block_count = 64;
     read_latency = 10;
     write_latency = 20;
     byte_latency = 1;
-    vectored = true;
-    async;
     queue_depth;
   }
 
-let make_dev ~async ~queue_depth =
+let make_dev ~queue_depth =
   let clock = Clock.create () in
-  let dev =
-    Block_device.create ~config:(async_config ~async ~queue_depth) ~clock ()
-  in
+  let dev = Block_device.create ~config:(async_config ~queue_depth) ~clock () in
   (dev, clock)
 
 let read_1 = 10 + 16 (* one single-block read: seek + 16 bytes *)
 
 (* ------------------------------------------------------------------ *)
-(* engine: sync degradation                                           *)
+(* engine: depth 1 is the synchronous device                          *)
 
 let test_sync_mode_identity () =
-  let dev, clock = make_dev ~async:false ~queue_depth:8 in
+  let dev, clock = make_dev ~queue_depth:1 in
   List.iter (fun i -> Block_device.write dev i (Printf.sprintf "b%d" i))
     [ 3; 4; 5 ];
   Block_device.reset_stats dev;
   let t0 = Clock.now clock in
   let tk = Block_device.submit_read_vec dev [ 3; 4; 5 ] in
-  (* async=false: the submission charges synchronously, like read_vec *)
+  (* depth 1: the submission charges synchronously, like read_vec *)
   check_int "submit charged the read_vec cost" (10 + 48) (Clock.now clock - t0);
   let t1 = Clock.now clock in
   let payload = Block_device.await dev tk in
@@ -77,14 +73,14 @@ let test_sync_mode_identity () =
   check_int "bytes_read" 48 (counter dev "bytes_read");
   check_int "vec_reads" 1 (counter dev "vec_reads");
   check_int "merged_runs" 1 (counter dev "merged_runs");
-  (* the submit API is accounted in both modes ... *)
+  (* the submit API is accounted at every depth ... *)
   check_int "async_submits" 1 (counter dev "async_submits");
   check_int "async_completions" 1 (counter dev "async_completions");
   check_int "async_service_ns" 58 (counter dev "async_service_ns");
   (* ... but the queue telemetry stays zero when nothing queues *)
-  check_int "no overlap in sync mode" 0 (counter dev "overlap_ns_hidden");
-  check_int "no highwater in sync mode" 0 (counter dev "queue_depth_highwater");
-  (* charge-only and write submissions degrade the same way *)
+  check_int "no overlap at depth 1" 0 (counter dev "overlap_ns_hidden");
+  check_int "no highwater at depth 1" 0 (counter dev "queue_depth_highwater");
+  (* charge-only and write submissions charge the same way *)
   let t2 = Clock.now clock in
   let tkc = Block_device.submit_charge_read_vec dev [ 3; 4; 5 ] in
   check_int "charge-only submit costs the same" 58 (Clock.now clock - t2);
@@ -100,22 +96,21 @@ let test_sync_mode_identity () =
 (* engine: queue arithmetic                                           *)
 
 let test_depth1_is_serial () =
-  let dev, clock = make_dev ~async:true ~queue_depth:1 in
+  let dev, clock = make_dev ~queue_depth:1 in
   let t0 = Clock.now clock in
   let tk1 = Block_device.submit_read_vec dev [ 3 ] in
-  let tk2 = Block_device.submit_read_vec dev [ 9 ] in
-  check_int "submission is free under async" 0 (Clock.now clock - t0);
-  check_int "two in flight" 2 (Block_device.outstanding dev);
+  check_int "first submission charged at once" read_1 (Clock.now clock - t0);
+  let tk2 = Block_device.submit_read_vec dev ~channel:1 [ 9 ] in
+  (* one slot, and no channel runs beside another: strictly serial *)
+  check_int "second charged after the first" (2 * read_1) (Clock.now clock - t0);
+  check_int "nothing in flight" 0 (Block_device.outstanding dev);
   ignore (Block_device.await dev tk1);
-  check_int "first completion at one service" read_1 (Clock.now clock - t0);
   ignore (Block_device.await dev tk2);
-  (* depth 1: the second request queued behind the first *)
-  check_int "second completion serialised" (2 * read_1) (Clock.now clock - t0);
-  check_int "no compute, no overlap" 0 (counter dev "overlap_ns_hidden");
-  check_int "highwater" 2 (counter dev "queue_depth_highwater")
+  check_int "awaits are free" (2 * read_1) (Clock.now clock - t0);
+  check_int "completions" 2 (counter dev "async_completions")
 
 let test_overlap_at_depth4 () =
-  let dev, clock = make_dev ~async:true ~queue_depth:4 in
+  let dev, clock = make_dev ~queue_depth:4 in
   let t0 = Clock.now clock in
   let tks =
     List.map (fun i -> Block_device.submit_read_vec dev [ i ]) [ 1; 2; 3; 4 ]
@@ -133,29 +128,43 @@ let test_overlap_at_depth4 () =
   check_int "completions" 4 (counter dev "async_completions")
 
 let test_queueing_beyond_depth () =
-  let dev, clock = make_dev ~async:true ~queue_depth:2 in
+  let dev, clock = make_dev ~queue_depth:2 in
   let t0 = Clock.now clock in
   let tks =
     List.map (fun i -> Block_device.submit_read_vec dev [ i ]) [ 1; 2; 3; 4 ]
   in
-  List.iter (fun tk -> ignore (Block_device.await dev tk)) tks;
-  (* 4 requests over 2 slots: two service generations *)
+  check_int "submission is free at depth 2" 0 (Clock.now clock - t0);
+  check_int "four in flight" 4 (Block_device.outstanding dev);
+  (* 4 requests over 2 slots: two service generations; the later two
+     queue behind the earliest free slot *)
+  List.iteri
+    (fun k tk ->
+      ignore (Block_device.await dev tk);
+      check_int
+        (Printf.sprintf "request %d completes in generation %d" k (1 + (k / 2)))
+        ((1 + (k / 2)) * read_1)
+        (Clock.now clock - t0))
+    tks;
   check_int "two generations of service" (2 * read_1) (Clock.now clock - t0);
   check_int "highwater counts queued submissions" 4
     (counter dev "queue_depth_highwater")
 
 let test_channels_are_independent () =
-  let dev, clock = make_dev ~async:true ~queue_depth:1 in
+  let dev, clock = make_dev ~queue_depth:2 in
   let t0 = Clock.now clock in
-  let a = Block_device.submit_read_vec dev ~channel:0 [ 3 ] in
-  let b = Block_device.submit_read_vec dev ~channel:1 [ 9 ] in
-  ignore (Block_device.await dev a);
-  ignore (Block_device.await dev b);
-  (* depth 1 per channel, but each channel has its own slot *)
+  let tks =
+    List.concat_map
+      (fun channel ->
+        List.map (fun i -> Block_device.submit_read_vec dev ~channel [ i ]) [ 3; 9 ])
+      [ 0; 1 ]
+  in
+  List.iter (fun tk -> ignore (Block_device.await dev tk)) tks;
+  (* four requests would take two generations on one depth-2 channel,
+     but each channel has its own two slots *)
   check_int "channels overlap each other" read_1 (Clock.now clock - t0)
 
 let test_await_idempotent_and_drain () =
-  let dev, clock = make_dev ~async:true ~queue_depth:4 in
+  let dev, clock = make_dev ~queue_depth:4 in
   Block_device.write dev 5 "payload-five";
   Block_device.reset_stats dev;
   let tk = Block_device.submit_read_vec dev [ 5 ] in
@@ -175,7 +184,7 @@ let test_await_idempotent_and_drain () =
     | _ -> false)
 
 let test_write_bytes_persist_at_submit () =
-  let dev, clock = make_dev ~async:true ~queue_depth:4 in
+  let dev, clock = make_dev ~queue_depth:4 in
   let t0 = Clock.now clock in
   let tk = Block_device.submit_write_vec dev [ (5, "hello-async") ] in
   check_int "submission is free" 0 (Clock.now clock - t0);
@@ -188,12 +197,12 @@ let test_write_bytes_persist_at_submit () =
   check_int "write counters" 1 (counter dev "writes")
 
 (* ------------------------------------------------------------------ *)
-(* the qcheck law: async == sync modulo latency telemetry             *)
+(* the qcheck law: every depth == depth 1 modulo latency telemetry    *)
 
 (* A deterministic op script drawn from a seed: submissions on a few
    channels, interleaved compute, early awaits of the oldest ticket.
-   The law: running one script on a synchronous device and on async
-   devices at depths 1 / 4 / 64 yields identical payloads, identical
+   The law: running one script on the synchronous device (depth 1) and
+   at depths 2 / 4 / 64 yields identical payloads, identical
    final images and identical counters — except queue_depth_highwater
    and overlap_ns_hidden, which describe the queue itself. *)
 
@@ -225,8 +234,8 @@ let gen_script seed =
       | 7 | 8 -> Compute (Prng.int prng 40)
       | _ -> AwaitOldest)
 
-let run_script ~async ~queue_depth script =
-  let dev, clock = make_dev ~async ~queue_depth in
+let run_script ~queue_depth script =
+  let dev, clock = make_dev ~queue_depth in
   (* a deterministic pre-image so reads have bytes to capture *)
   for i = 0 to 63 do
     Block_device.write dev i (Printf.sprintf "init-%02d" i)
@@ -268,24 +277,22 @@ let prop_async_eq_sync =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let script = gen_script seed in
-      let reference = run_script ~async:false ~queue_depth:8 script in
+      let reference = run_script ~queue_depth:1 script in
       List.for_all
-        (fun depth -> run_script ~async:true ~queue_depth:depth script = reference)
-        [ 1; 4; 64 ])
+        (fun depth -> run_script ~queue_depth:depth script = reference)
+        [ 2; 4; 64 ])
 
 (* ------------------------------------------------------------------ *)
-(* DBFS under async: warm == cold, outcomes unchanged                 *)
+(* DBFS at depth > 1: warm == cold, outcomes unchanged                *)
 
-let dbfs_config ~async =
+let dbfs_config ~queue_depth =
   {
     Block_device.block_size = 512;
     block_count = 512;
     read_latency = 10;
     write_latency = 20;
     byte_latency = 0;
-    vectored = true;
-    async;
-    queue_depth = 4;
+    queue_depth;
   }
 
 let user_schema () =
@@ -302,9 +309,9 @@ let user_schema () =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-let setup_dbfs ~async =
+let setup_dbfs ~queue_depth =
   let clock = Clock.create () in
-  let dev = Block_device.create ~config:(dbfs_config ~async) ~clock () in
+  let dev = Block_device.create ~config:(dbfs_config ~queue_depth) ~clock () in
   let t = Dbfs.format dev ~journal_blocks:16 in
   ok (Dbfs.create_type t ~actor:ded (user_schema ()));
   (t, dev, clock)
@@ -323,7 +330,7 @@ let insert_user t ~subject ~pwd =
            ~collection:schema.Schema.collection ()))
 
 let test_dbfs_warm_eq_cold_under_async () =
-  let t, _, clock = setup_dbfs ~async:true in
+  let t, _, clock = setup_dbfs ~queue_depth:4 in
   let pds =
     List.init 8 (fun i -> insert_user t ~subject:(Printf.sprintf "w%d" i) ~pwd:"pw")
   in
@@ -334,7 +341,7 @@ let test_dbfs_warm_eq_cold_under_async () =
   in
   let cold = cost (fun () -> Dbfs.get_membranes t ~actor:ded pds) in
   let warm = cost (fun () -> Dbfs.get_membranes t ~actor:ded pds) in
-  check_bool "async batch charges device time" true (cold > 0);
+  check_bool "pipelined batch charges device time" true (cold > 0);
   (* cache hits ride the charge-only submission path with the same
      chunk shape as the cold fetch, so the pipeline hides the same
      amount of service both times *)
@@ -344,8 +351,8 @@ let test_dbfs_warm_eq_cold_under_async () =
   check_int "records: warm = cold" cold_r warm_r
 
 let test_dbfs_outcomes_match_sync () =
-  let build ~async =
-    let t, dev, _ = setup_dbfs ~async in
+  let build ~queue_depth =
+    let t, dev, _ = setup_dbfs ~queue_depth in
     let pds =
       List.init 10 (fun i ->
           insert_user t ~subject:(Printf.sprintf "s%d" i) ~pwd:"secret")
@@ -356,8 +363,8 @@ let test_dbfs_outcomes_match_sync () =
     Block_device.drain dev;
     (ms, rs, Block_device.snapshot dev)
   in
-  let sm, sr, simg = build ~async:false in
-  let am, ar, aimg = build ~async:true in
+  let sm, sr, simg = build ~queue_depth:1 in
+  let am, ar, aimg = build ~queue_depth:4 in
   check_bool "membranes identical" true (sm = am);
   check_bool "records identical" true (sr = ar);
   check_bool "on-device image identical" true (simg = aimg)
@@ -384,8 +391,6 @@ let fake_result ?(invariant = true) ~speedup ~overlap () =
       [
         {
           AB.as_subjects = 100;
-          as_sync_total_ns = 2_000_000;
-          as_sync_load_ns = 800_000;
           as_rows =
             [
               fake_row ~depth:1 ~speedup:1.0 ~overlap:0.0;

@@ -110,7 +110,7 @@ let test_report_rejects_bad_shapes () =
   rejected "empty object" (Json.Obj []);
   rejected "wrong schema id" (Json.Obj [ ("schema", Json.Str "something-else/9") ]);
   rejected "another section's artifact"
-    (BR.to_json hotpath { fake_report with section = "vecio" });
+    (BR.to_json hotpath { fake_report with section = "scale" });
   let fails what r = check_bool what true (BR.validate hotpath r <> []) in
   fails "missing hot-path row"
     { fake_report with
@@ -145,6 +145,19 @@ let test_every_artifact_validates () =
       | [] -> ()
       | lines -> Alcotest.failf "%s: %s" (BR.artifact s) (String.concat "; " lines))
     S.all
+
+(* a deleted section must not leave its artifact behind *)
+let test_every_root_artifact_has_a_section () =
+  let artifacts = List.map BR.artifact S.all in
+  Array.iter
+    (fun f ->
+      if
+        String.length f > 11
+        && String.sub f 0 6 = "BENCH_"
+        && Filename.check_suffix f ".json"
+        && not (List.mem f artifacts)
+      then Alcotest.failf "%s names no registered section" f)
+    (Sys.readdir artifact_dir)
 
 let copy src dst =
   let ic = open_in_bin src in
@@ -236,13 +249,10 @@ let pinned_gates =
     "hotpath e1.ded_execute: <= committed +25% (or within 50)";
     "hotpath e1.ded_build_membrane+store: <= committed +25% (or within 50)";
     "hotpath e1.ded_return: <= committed +25% (or within 50)";
+    "hotpath reduction.load_stages: >= 30";
+    "hotpath merge_ratio_per_subject: >= committed -25%";
     "hotpath e4.rows: >= 1";
     "hotpath e4.sim_us_max: (recorded)";
-    "vecio reduction.ded_load_membrane: >= 30";
-    "vecio reduction.ded_load_data: >= 30";
-    "vecio reduction.load_stages: >= 30";
-    "vecio reduction.total: (recorded)";
-    "vecio merge_ratio_per_subject: >= committed -25%";
     "scale speedup_4_domains: >= 2.5; >= committed -25%";
     "scale min_domains: >= 1";
     "scale min_sim_critical_ns: > 0";
@@ -405,6 +415,8 @@ let () =
          [
            Alcotest.test_case "every committed artifact validates" `Quick
              test_every_artifact_validates;
+           Alcotest.test_case "every root artifact has a section" `Quick
+             test_every_root_artifact_has_a_section;
            Alcotest.test_case "missing artifact fails by name" `Quick
              test_missing_artifact_fails;
            Alcotest.test_case "unparseable artifact prints the error" `Quick

@@ -36,9 +36,7 @@ let small_config =
     read_latency = 10;
     write_latency = 20;
     byte_latency = 0;
-    vectored = true;
-    async = false;
-    queue_depth = 8;
+    queue_depth = 1;
   }
 
 let item_schema () =
@@ -55,9 +53,11 @@ let item_schema () =
   | Ok s -> s
   | Error e -> Alcotest.fail e
 
-let make_dbfs () =
+let make_dbfs ?(queue_depth = 1) () =
   let clock = Clock.create () in
-  let dev = Block_device.create ~config:small_config ~clock () in
+  let dev =
+    Block_device.create ~config:{ small_config with queue_depth } ~clock ()
+  in
   let t = Dbfs.format dev ~journal_blocks:256 in
   ok (Dbfs.create_type t ~actor:ded (item_schema ()));
   t
@@ -264,9 +264,10 @@ let prop_paged_equals_reference =
 (* The budget bounds RESIDENT HOST MEMORY only: a page hit charges the
    same simulated device read as a miss, so repeated queries cost the
    same sim time at budget 1 (everything evicted, all misses) as at a
-   huge budget (everything resident, all hits). *)
-let test_warm_equals_cold () =
-  let t = make_dbfs () in
+   huge budget (everything resident, all hits) — on the synchronous
+   device and at a depth where sibling pages are prefetched. *)
+let warm_equals_cold ~queue_depth =
+  let t = make_dbfs ~queue_depth () in
   for i = 0 to 29 do
     ignore
       (insert_item t
@@ -302,6 +303,9 @@ let test_warm_equals_cold () =
     (Stats.Counter.get (Dbfs.stats cold) "page_hits" > 0);
   check_bool "evictions recorded at budget 1" true
     (Stats.Counter.get (Dbfs.stats cold) "cache_evictions" > 0)
+
+let test_warm_equals_cold () =
+  List.iter (fun queue_depth -> warm_equals_cold ~queue_depth) [ 1; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* O(1) clean mount                                                   *)

@@ -21,9 +21,7 @@ let make_ring ?(num_blocks = 8) () =
           read_latency = 1;
           write_latency = 1;
           byte_latency = 0;
-          vectored = true;
-          async = false;
-          queue_depth = 8;
+          queue_depth = 1;
         }
       ~clock ()
   in

@@ -1,6 +1,5 @@
 (* Vectored block IO, the extent allocator, the batched DBFS loads, and
-   the BENCH_vectored_io.json artifact machinery (regression gate
-   included). *)
+   the vectored-I/O gates of BENCH_hotpath.json. *)
 
 module Clock = Rgpdos_util.Clock
 module Stats = Rgpdos_util.Stats
@@ -13,6 +12,7 @@ module Record = Rgpdos_dbfs.Record
 module Dbfs = Rgpdos_dbfs.Dbfs
 module E = Rgpdos_workload.Experiments
 module BR = Rgpdos_workload.Bench_report
+module S = Rgpdos_bench.Sections
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -28,25 +28,23 @@ let counter dev name = Stats.Counter.get (Block_device.stats dev) name
 (* ------------------------------------------------------------------ *)
 (* block device: vectored requests                                    *)
 
-let vec_config vectored =
+let vec_config =
   {
     Block_device.block_size = 16;
     block_count = 64;
     read_latency = 10;
     write_latency = 20;
     byte_latency = 1;
-    vectored;
-    async = false;
-    queue_depth = 8;
+    queue_depth = 1;
   }
 
-let make_dev vectored =
+let make_dev () =
   let clock = Clock.create () in
-  let dev = Block_device.create ~config:(vec_config vectored) ~clock () in
+  let dev = Block_device.create ~config:vec_config ~clock () in
   (dev, clock)
 
 let test_read_vec_merges_runs () =
-  let dev, clock = make_dev true in
+  let dev, clock = make_dev () in
   List.iter (fun i -> Block_device.write dev i (Printf.sprintf "b%d" i))
     [ 3; 4; 5; 9 ];
   Block_device.reset_stats dev;
@@ -69,16 +67,8 @@ let test_read_vec_merges_runs () =
         && String.sub data 0 2 = Printf.sprintf "b%d" i))
     got
 
-let test_scalar_config_charges_per_block () =
-  let dev, clock = make_dev false in
-  let t0 = Clock.now clock in
-  ignore (Block_device.read_vec dev [ 3; 4; 5; 9 ]);
-  (* vectored=false: one seek per block even for contiguous indices *)
-  check_int "cost = 4 seeks + 64 bytes" ((4 * 10) + 64) (Clock.now clock - t0);
-  check_int "merged_runs = one per block" 4 (counter dev "merged_runs")
-
 let test_charge_read_vec_matches_read_vec () =
-  let dev, clock = make_dev true in
+  let dev, clock = make_dev () in
   let indices = [ 7; 8; 9; 20; 22 ] in
   let t0 = Clock.now clock in
   ignore (Block_device.read_vec dev indices);
@@ -93,7 +83,7 @@ let test_charge_read_vec_matches_read_vec () =
     (Stats.Counter.to_list (Block_device.stats dev) = stats_after_read)
 
 let test_write_vec_last_wins_and_merges () =
-  let dev, clock = make_dev true in
+  let dev, clock = make_dev () in
   let t0 = Clock.now clock in
   Block_device.write_vec dev [ (7, "first"); (8, "bee"); (7, "second") ];
   (* distinct {7,8}: one run, two blocks *)
@@ -120,9 +110,7 @@ let small_config =
     read_latency = 10;
     write_latency = 20;
     byte_latency = 0;
-    vectored = true;
-    async = false;
-    queue_depth = 8;
+    queue_depth = 1;
   }
 
 let high_schema () =
@@ -350,58 +338,62 @@ let test_e1_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* vectored artifact + regression gate                                *)
 
-let fake_result ~subjects ~load_ns : E.e1_result =
-  {
-    e1_subjects = subjects;
-    e1_stage_ns =
-      [
-        ("ded_type2req", 1000);
-        ("ded_load_membrane", load_ns);
-        ("ded_load_data", load_ns);
-        ("ded_execute", 100_000);
-      ];
-    e1_total_ns = 101_000 + (2 * load_ns);
-    e1_device = [ ("merged_runs", 2); ("reads", 200); ("vec_reads", 2) ];
-  }
+(* A hotpath report over an E1 run whose [reads] blocks were charged in
+   [merged_runs] seeks, with [load_ns] per load stage. *)
+let hotpath_report ~reads ~merged_runs ~load_ns =
+  let e1 : E.e1_result =
+    {
+      e1_subjects = 100;
+      e1_stage_ns =
+        List.map
+          (fun s -> (s, if List.mem s S.load_stages then load_ns else 500))
+          S.e1_stages;
+      e1_total_ns = 2500 + (2 * load_ns);
+      e1_device = [ ("merged_runs", merged_runs); ("reads", reads) ];
+    }
+  in
+  BR.measure S.hotpath ~quick:true ~wall_ms:1.0
+    {
+      S.micro = List.map (fun (name, _) -> (name, 2200.0, 0.97)) S.micro_cases;
+      e1;
+      e4 =
+        [
+          { E.e4_records_per_subject = 1; e4_sim_us = 18.2; e4_export_complete = true };
+        ];
+    }
 
-let vecio = BR.Section Rgpdos_bench.Sections.vecio
+let hotpath = BR.Section S.hotpath
 
-let vecio_report scalar vectored =
-  BR.measure Rgpdos_bench.Sections.vecio ~quick:true ~wall_ms:1.0 (scalar, vectored)
-
+(* the vectored gates ride on hotpath's E1 run: the load-stage reduction
+   is the seek time run-merging saved, from the run's own counters *)
 let test_make_vectored_validates () =
-  let scalar = fake_result ~subjects:100 ~load_ns:1_000_000 in
-  let vectored = fake_result ~subjects:100 ~load_ns:400_000 in
-  let report = vecio_report scalar vectored in
-  (match BR.validate vecio report with
+  (* 200 blocks in 2 seeks save 198 seeks of 10 us = 1.98 ms against
+     2 x 0.66 ms of vectored load: 60% *)
+  let report = hotpath_report ~reads:200 ~merged_runs:2 ~load_ns:660_000 in
+  (match BR.validate hotpath report with
   | [] -> ()
   | e -> Alcotest.failf "60%%-reduction report invalid: %s" (String.concat "; " e));
   check_bool "load-stage reduction is 60%" true
     (abs_float (List.assoc "reduction.load_stages" report.BR.values -. 60.0) < 1e-9);
-  let text = Json.to_string (BR.to_json vecio report) in
-  (match Result.bind (Json.of_string text) (BR.of_json vecio) with
-  | Ok parsed ->
-      (* float rendering may round, so compare by re-validating *)
-      check_bool "parsed report valid" true (BR.validate vecio parsed = [])
-  | Error e -> Alcotest.failf "emitted JSON does not parse back: %s" e);
-  (* a 20% reduction is below the 30% acceptance bar *)
-  let shallow = fake_result ~subjects:100 ~load_ns:800_000 in
-  check_bool "below-bar reduction rejected" true
-    (BR.validate vecio (vecio_report scalar shallow) <> [])
+  check_bool "merge ratio per subject" true
+    (List.assoc "merge_ratio_per_subject" report.BR.values = 1.0);
+  (* one seek per block saves nothing: below the 30% bar *)
+  check_bool "unmerged run rejected" true
+    (BR.validate hotpath (hotpath_report ~reads:200 ~merged_runs:200 ~load_ns:660_000)
+    <> [])
 
+(* the committed full-scale figure: 4,000 blocks in 2 seeks *)
 let test_committed_artifact () =
   let path =
-    List.find_opt Sys.file_exists
-      [ "../BENCH_vectored_io.json"; "BENCH_vectored_io.json" ]
+    List.find_opt Sys.file_exists [ "../BENCH_hotpath.json"; "BENCH_hotpath.json" ]
   in
-  match Option.map (BR.read_file vecio) path with
-  | None -> Alcotest.fail "BENCH_vectored_io.json missing"
-  | Some (Error e) -> Alcotest.failf "BENCH_vectored_io.json: %s" e
-  | Some (Ok v) -> (
-      match BR.validate vecio v with
-      | [] -> ()
-      | e ->
-          Alcotest.failf "BENCH_vectored_io.json invalid: %s" (String.concat "; " e))
+  match Option.map (BR.read_file hotpath) path with
+  | None -> Alcotest.fail "BENCH_hotpath.json missing"
+  | Some (Error e) -> Alcotest.failf "BENCH_hotpath.json: %s" e
+  | Some (Ok v) ->
+      check_bool "validates" true (BR.validate hotpath v = []);
+      check_bool "load-stage reduction 54.9357%" true
+        (List.assoc "reduction.load_stages" v.BR.values = 54.9357)
 
 let () =
   Alcotest.run "vectored-io"
@@ -410,8 +402,6 @@ let () =
         [
           Alcotest.test_case "read_vec merges runs" `Quick
             test_read_vec_merges_runs;
-          Alcotest.test_case "scalar config charges per block" `Quick
-            test_scalar_config_charges_per_block;
           Alcotest.test_case "charge_read_vec parity" `Quick
             test_charge_read_vec_matches_read_vec;
           Alcotest.test_case "write_vec dedup + merge" `Quick
