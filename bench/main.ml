@@ -5,9 +5,9 @@
 
    With no SECTION it runs everything: Figure 1 (the paper's penalty
    statistics), experiments E2-E11 with the E2b scaling sweep and the
-   A1/A2/A3 ablations (DESIGN.md §3), then the nine gated sections of
-   Rgpdos_bench.Sections (hotpath scale index fault model mount segment
-   sla async).  [--quick] shrinks problem sizes for a fast smoke
+   A1/A2/A3 ablations (DESIGN.md §3), then the eight gated sections of
+   Rgpdos_bench.Sections (hotpath scale index model mount segment sla
+   async).  [--quick] shrinks problem sizes for a fast smoke
    pass.
 
    Every gated section validates its fresh report against the gates it

@@ -1,4 +1,4 @@
-(* The nine gated bench sections.  Each one declares, once, how to run it,
+(* The eight gated bench sections.  Each one declares, once, how to run it,
    how to render it, which rows its artifact keeps for readers, and the
    metrics that gate it (see Rgpdos_workload.Bench_report).  The harness
    and the test suite both read this list: the tests doctor every gate
@@ -23,7 +23,6 @@ module Record = Rgpdos_dbfs.Record
 module Audit_log = Rgpdos_audit.Audit_log
 module SB = Rgpdos_workload.Shard_bench
 module MB = Rgpdos_workload.Mount_bench
-module FC = Rgpdos_workload.Fault_campaign
 module RF = Rgpdos_model.Refine
 module SG = Rgpdos_workload.Segment_bench
 module SLA = Rgpdos_workload.Sla_bench
@@ -500,51 +499,13 @@ let index =
   }
 
 (* ------------------------------------------------------------------ *)
-(* fault: deterministic crash / fault-injection campaign              *)
-
-(* crash ordinals missing from 1..total_writes plus any outside it; 0
-   for a sampled run, which does not claim to be exhaustive *)
-let uncovered_writes (r : FC.result) =
-  if r.FC.fc_sampled then 0.0
-  else
-    let total = r.FC.fc_total_writes in
-    let crashed =
-      List.sort_uniq compare (List.map (fun p -> p.FC.cp_write) r.FC.fc_points)
-    in
-    let inside = List.length (List.filter (fun w -> w >= 1 && w <= total) crashed) in
-    float_of_int (total - inside + (List.length crashed - inside))
-
-let fault =
-  {
-    BR.name = "fault";
-    title = "FAULT — deterministic crash/fault-injection campaign";
-    artifact = "BENCH_fault_campaign.json";
-    (* deterministic, and the workload writes well under the 200-point
-       smoke cap, so quick and full runs crash at the same points *)
-    run = (fun ~quick -> if quick then FC.run ~max_points:200 () else FC.run ());
-    render = FC.render;
-    detail = FC.to_json;
-    metrics =
-      [
-        metric ~unit:"%" "pass_rate_pct" [ ge 100.0 ] FC.pass_rate_pct;
-        metric "total_writes" [ gt 0.0 ] (fun r ->
-            float_of_int r.FC.fc_total_writes);
-        metric "crash_points" [ gt 0.0 ] (fun r -> count r.FC.fc_points);
-        metric "uncovered_writes" [ exact 0.0 ] uncovered_writes;
-        metric "scenarios" [ gt 0.0 ] (fun r -> count r.FC.fc_scenarios);
-        metric "failed_scenarios" [ exact 0.0 ] (fun r ->
-            count (List.filter (fun s -> not s.FC.sc_pass) r.FC.fc_scenarios));
-      ];
-  }
-
-(* ------------------------------------------------------------------ *)
 (* model: executable GDPR model refinement                            *)
 
 let model =
   {
     BR.name = "model";
     title = "MODEL — executable GDPR model refinement (lockstep / crash / \
-             linearizability / coherence)";
+             crash sweeps / linearizability / coherence)";
     artifact = "BENCH_model_check.json";
     (* deterministic in the seed; QCHECK_COUNT, when set, fixes the script
        budget, otherwise --quick trims it *)
@@ -570,6 +531,12 @@ let model =
             float_of_int r.RF.r_crash_runs /. count RF.all_cfgs);
         metric ~unit:"flag" "lin_domains_1_2_4" [ exact 1.0 ] (fun r ->
             flag (r.RF.r_lin_domains = [ 1; 2; 4 ]));
+        (* the crash sweeps: every write of each fixed script crashed
+           after exactly once *)
+        metric "sweep_points" [ gt 0.0 ] (fun r ->
+            float_of_int (RF.sweep_points r.RF.r_sweeps));
+        metric "sweep_uncovered_writes" [ exact 0.0 ] (fun r ->
+            float_of_int (RF.uncovered_writes r.RF.r_sweeps));
         metric "failures" [ exact 0.0 ] (fun r -> count r.RF.r_failures);
         metric ~unit:"flag" "all_pass" [ exact 1.0 ] (fun r -> flag (RF.all_pass r));
         (* the coherence audit's budgets, pinned so that an artifact from
@@ -919,6 +886,6 @@ let async =
 let all =
   BR.
     [
-      Section hotpath; Section scale; Section index; Section fault;
-      Section model; Section mount; Section segment; Section sla; Section async;
+      Section hotpath; Section scale; Section index; Section model;
+      Section mount; Section segment; Section sla; Section async;
     ]

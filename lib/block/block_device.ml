@@ -1,6 +1,5 @@
 module Clock = Rgpdos_util.Clock
 module Stats = Rgpdos_util.Stats
-module Prng = Rgpdos_util.Prng
 
 type config = {
   block_size : int;
@@ -25,9 +24,9 @@ let default_config =
 
    A fault plan is a deterministic schedule keyed on the device's write-op
    ordinal (scalar [write] and vectored [write_vec] each count as one op,
-   numbered from 1 as of plan installation).  Campaign harnesses install a
-   plan, run a scripted workload, and every write becomes an enumerable
-   fault/crash point; the same seed and workload replay the exact same
+   numbered from 1 as of plan installation).  A crash harness installs a
+   plan, runs a scripted workload, and every write becomes an enumerable
+   fault/crash point; the same plan and workload replay the exact same
    schedule. *)
 
 module Fault_plan = struct
@@ -96,30 +95,6 @@ module Fault_plan = struct
     Format.fprintf ppf "}"
 
   let to_string plan = Format.asprintf "%a" pp plan
-
-  (* Draw [faults] scheduled faults over the first [writes] write ops from a
-     seeded PRNG.  Same seed => same schedule, the campaign determinism
-     rule. *)
-  let random ~prng ~writes ~faults ~block_count () =
-    if writes <= 0 then invalid_arg "Fault_plan.random: writes must be positive";
-    let plan = create () in
-    for _ = 1 to faults do
-      let nth = Prng.int_in prng 1 writes in
-      let action =
-        match Prng.int prng 3 with
-        | 0 -> Fail_write { transient = Prng.bool prng }
-        | 1 -> Torn_write { keep_runs = Prng.int prng 3 }
-        | _ ->
-            Bit_flip
-              {
-                block = Prng.int prng block_count;
-                byte = Prng.int prng 64;
-                bit = Prng.int prng 8;
-              }
-      in
-      on_write plan ~nth action
-    done;
-    plan
 end
 
 (* A submitted request: the bytes (for reads) were captured at

@@ -151,11 +151,11 @@ val inject_transient_fault : t -> int -> count:int -> unit
 
     A fault plan is a deterministic schedule keyed on the device's write-op
     ordinal: scalar {!write} and vectored {!write_vec} each count as one
-    write op, numbered from 1 as of plan installation.  A campaign harness
-    installs a plan, runs a scripted workload, and every write op becomes an
-    enumerable fault or crash point.  Determinism rule: the same seed and
-    the same workload replay the exact same schedule and produce the same
-    verdicts. *)
+    write op, numbered from 1 as of plan installation.  A crash harness
+    (Refine's crash mode and sweeps) installs a plan, runs a scripted
+    workload, and every write op becomes an enumerable fault or crash
+    point.  Determinism rule: the same plan and the same workload replay
+    the exact same schedule and produce the same verdicts. *)
 
 module Fault_plan : sig
   type action =
@@ -200,17 +200,6 @@ module Fault_plan : sig
       {!to_string} at install time. *)
 
   val to_string : t -> string
-
-  val random :
-    prng:Rgpdos_util.Prng.t ->
-    writes:int ->
-    faults:int ->
-    block_count:int ->
-    unit ->
-    t
-  (** [faults] actions drawn from a seeded PRNG over the first [writes]
-      write ops (uniform mix of transient/permanent failures, torn writes
-      and bit flips). *)
 end
 
 val set_fault_plan : t -> Fault_plan.t option -> unit

@@ -98,7 +98,7 @@ type t = {
   mutable index : Index.t;
       (* secondary indexes: per-field postings, subject -> pd_ids, TTL
          expiry queue; paged on the device since PR 6, with an in-memory
-         overlay.  Mutable so [fsck ~repair] can swap in a rebuild. *)
+         overlay.  Mutable so [fsck_repair] can swap in a rebuild. *)
   mutable index_roots : Index.roots;
   mutable free_state : free_state;
   mutable bm_present : bool;
@@ -2055,7 +2055,7 @@ let erased_payload t ~actor pd_id =
    attached); an extent failing its checksum is left in place for fsck
    rather than propagated.
 
-   Crash windows (both exercised by the fault campaign):
+   Crash windows (both exercised by Refine's compaction sweep):
    - after a relocation is journaled, before the victim is destroyed:
      mount-time replay zeroes the superseded copy ([freed_acc]);
    - after a relocated payload is written, before its journal record is
@@ -2522,7 +2522,7 @@ let collect_entries_noted t note =
   List.rev !acc
 
 (* The check pass: every invariant violation as a message, no mutation.
-   [fsck ?repair] wraps this. *)
+   [fsck] wraps this; [fsck_repair] runs it before and after repairing. *)
 let fsck_check t =
   let problems = ref [] in
   let note fmt = Format.kasprintf (fun s -> problems := s :: !problems) fmt in
@@ -2901,12 +2901,7 @@ let fsck_repair t =
     rr_clean = clean;
   }
 
-let fsck ?(repair = false) t =
-  if not repair then
-    match fsck_check t with [] -> Ok () | ps -> Error ps
-  else
-    let r = fsck_repair t in
-    if r.rr_clean then Ok () else Error (r.rr_problems @ r.rr_actions)
+let fsck t = match fsck_check t with [] -> Ok () | ps -> Error ps
 
 let replay_report t = t.replay
 

@@ -49,7 +49,7 @@ type error =
       (** a read path exhausted its retries against a faulted block *)
   | Degraded of string
       (** the store is in degraded read-only mode; mutations are refused
-          until [fsck ~repair:true] clears it *)
+          until a clean {!fsck_repair} clears it *)
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
@@ -291,7 +291,7 @@ val describe_trees : t -> actor:string -> (string, error) result
 val checkpoint : t -> unit
 val crash_and_remount : t -> (t, string) result
 
-val fsck : ?repair:bool -> t -> (unit, string list) result
+val fsck : t -> (unit, string list) result
 (** Invariant check, including the membrane invariant (every stored
     entry's membrane must decode and match the entry identity), per-extent
     checksums (every record and membrane extent must read back with its
@@ -300,9 +300,7 @@ val fsck : ?repair:bool -> t -> (unit, string list) result
     every posting list contains its keyed pds, every live pd of an
     indexed type is keyed, the subject index links every entry, and the
     expiry queue agrees with each membrane's [created_at + ttl].
-
-    With [~repair:true] the check is followed by {!fsck_repair};
-    [Ok ()] then means the repaired store passes a re-check. *)
+    Read-only: {!fsck_repair} is the repair pass. *)
 
 type repair_report = {
   rr_problems : string list;  (** what the initial check found *)

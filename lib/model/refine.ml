@@ -24,6 +24,7 @@ type op =
   | Advance of { ns : int }
   | Access of { subj : int }
   | Select_q of { q : int }
+  | Compact
 
 type script = op list
 
@@ -117,6 +118,7 @@ let op_to_string = function
   | Advance { ns } -> Printf.sprintf "advance(%dns)" ns
   | Access { subj } -> Printf.sprintf "access(s%d)" (subj mod 6)
   | Select_q { q } -> Printf.sprintf "select(q%d)" (q mod Array.length queries)
+  | Compact -> "compact"
 
 let script_to_string s =
   "[" ^ String.concat "; " (List.map op_to_string s) ^ "]"
@@ -203,8 +205,10 @@ let commit st m =
   st.model <- m;
   st.trace <- m :: st.trace
 
+let sentinel n = Printf.sprintf "snt%05d" n
+
 let fresh_sentinel st =
-  let s = Printf.sprintf "snt%05d" st.nsent in
+  let s = sentinel st.nsent in
   st.nsent <- st.nsent + 1;
   s
 
@@ -362,6 +366,9 @@ let step ~compare ?bug st op =
                   ~model:expected ~dbfs:(ids_str ids)
             | Error e -> diverge "select(q%d) failed: %s" q (err_str e))
           [ true; false ])
+  | Compact ->
+      (* compaction moves bytes, never observables: a no-op on the model *)
+      ignore (Dbfs.compact st.store ~max_victims:16 ~liveness_pct:75.0)
 
 (* Full-state audit: every observable of every pd, every query under
    both planner paths, expiry and exports. *)
@@ -505,15 +512,23 @@ let spec_to_plan spec =
 
 let spec_to_string spec = BD.Fault_plan.to_string (spec_to_plan spec)
 
-(* Reference run: same script, same cfg, empty plan — counts the write
-   ordinals the fault plan schedules against, and exposes the layout for
-   data-region bit flips. *)
-let count_writes cfg script =
+(* Replay [setup] fault-free, then [script] under [plan] (whose write
+   ordinals count from here); returns the store and the image the plan's
+   crash captured, [None] when it never fired. *)
+let replay_under ?(setup = []) cfg script plan =
   let st = make_st cfg in
-  let plan = BD.Fault_plan.create () in
+  List.iter (step ~compare:false st) setup;
   BD.set_fault_plan st.dev (Some plan);
   List.iter (step ~compare:false st) script;
   BD.drain st.dev;
+  (st, BD.crash_image st.dev)
+
+(* Reference run: same script, same cfg, empty plan — counts the write
+   ordinals the fault plan schedules against, and exposes the layout for
+   data-region bit flips. *)
+let count_writes ?setup cfg script =
+  let plan = BD.Fault_plan.create () in
+  let st, _ = replay_under ?setup cfg script plan in
   (BD.Fault_plan.writes_seen plan, Dbfs.layout st.store)
 
 (* Faults are drawn only from the flavours the write path must ride out
@@ -595,87 +610,105 @@ let dump_real store =
       in
       go [] ids
 
+(* Every sentinel on the raw medium, from one forensic scan for the
+   common prefix: one pass over the medium per crash point, where a scan
+   per destroyed sentinel would make one pass each. *)
+let sentinels_on dev =
+  let medium = BD.snapshot dev in
+  let bs = (BD.config dev).BD.block_size in
+  let byte pos =
+    match medium.(pos / bs) with
+    | exception Invalid_argument _ -> '\000'
+    | "" -> '\000'
+    | blk -> blk.[pos mod bs]
+  in
+  List.map
+    (fun (b, off) ->
+      String.init (String.length (sentinel 0)) (fun i ->
+          byte ((b * bs) + off + i)))
+    (BD.scan dev "snt")
+
+(* The crash rule: the image remounts, repairs clean, leaves degraded
+   mode, equals the model at some prefix of [st]'s run (quarantined pds
+   excluded on both sides), and holds no sentinel of a pd the recovered
+   store does not keep live. *)
+let check_recovered cfg st image =
+  let clock2 = Clock.create () in
+  let dev2 = BD.create ~config:(dev_config cfg) ~clock:clock2 () in
+  BD.restore dev2 image;
+  match Dbfs.mount dev2 with
+  | Error m -> Error ("mount after crash failed: " ^ m)
+  | Ok store2 -> (
+      let rep = Dbfs.fsck_repair store2 in
+      let quarantined = List.map fst rep.Dbfs.rr_quarantined in
+      if not rep.Dbfs.rr_clean then
+        Error
+          ("fsck_repair not clean: " ^ String.concat "; " rep.Dbfs.rr_problems)
+      else
+        match Dbfs.degraded store2 with
+        | Some why -> Error ("degraded after repair: " ^ why)
+        | None -> (
+            match dump_real store2 with
+            | Error d -> Error ("post-repair read: " ^ d)
+            | Ok dump ->
+                let matched =
+                  List.exists
+                    (fun m -> Model.dump_excluding m ~exclude:quarantined = dump)
+                    st.trace
+                in
+                if not matched then
+                  Error
+                    (Printf.sprintf
+                       "recovered state matches no model prefix (quarantined: \
+                        [%s])"
+                       (String.concat "," quarantined))
+                else
+                  (* post-repair residue rule is absolute: repair scrubs
+                     every free block, so any sentinel not in a live record
+                     of the RECOVERED store (recovery may land at an
+                     earlier prefix, where a later-destroyed pd is still
+                     legitimately live) must be gone from the medium. *)
+                  let live_notes =
+                    match Dbfs.list_pds store2 ~actor type_name with
+                    | Error _ -> []
+                    | Ok ids ->
+                        List.filter_map
+                          (fun id ->
+                            match Dbfs.get_record store2 ~actor id with
+                            | Ok r -> (
+                                match List.assoc_opt "note" r with
+                                | Some (Value.VString s) -> Some s
+                                | _ -> None)
+                            | Error _ -> None)
+                          ids
+                  in
+                  let on_medium = sentinels_on dev2 in
+                  match
+                    List.find_opt
+                      (fun (s, _) ->
+                        (not (List.mem s live_notes)) && List.mem s on_medium)
+                      st.sentinels
+                  with
+                  | Some (s, pd) ->
+                      Error
+                        (Printf.sprintf "post-repair residue: sentinel %s of pd %s"
+                           s pd)
+                  | None -> Ok ()))
+
 let run_crash ~spec_seed cfg script =
   let spec = derive_spec ~spec_seed cfg script in
   let plan = spec_to_plan spec in
   let plan_str = BD.Fault_plan.to_string plan in
-  let fail fmt =
-    Printf.ksprintf (fun s -> Error (Printf.sprintf "%s [plan %s]" s plan_str)) fmt
+  let verdict =
+    match replay_under cfg script plan with
+    | exception e ->
+        Error ("exception escaped the write path: " ^ Printexc.to_string e)
+    | st, Some image -> check_recovered cfg st image
+    | st, None -> check_recovered cfg st (BD.snapshot st.dev)
   in
-  let st = make_st cfg in
-  BD.set_fault_plan st.dev (Some plan);
-  match
-    List.iter (step ~compare:false st) script;
-    BD.drain st.dev
-  with
-  | exception e -> fail "exception escaped the write path: %s" (Printexc.to_string e)
-  | () -> (
-      let image =
-        match BD.crash_image st.dev with
-        | Some i -> i
-        | None -> BD.snapshot st.dev
-      in
-      let clock2 = Clock.create () in
-      let dev2 = BD.create ~config:(dev_config cfg) ~clock:clock2 () in
-      BD.restore dev2 image;
-      match Dbfs.mount dev2 with
-      | Error m -> fail "mount after crash failed: %s" m
-      | Ok store2 -> (
-          let rep = Dbfs.fsck_repair store2 in
-          let quarantined = List.map fst rep.Dbfs.rr_quarantined in
-          if not rep.Dbfs.rr_clean then
-            fail "fsck_repair not clean: %s"
-              (String.concat "; " rep.Dbfs.rr_problems)
-          else
-            match Dbfs.degraded store2 with
-            | Some why -> fail "degraded after repair: %s" why
-            | None -> (
-                match dump_real store2 with
-                | Error d -> fail "post-repair read: %s" d
-                | Ok dump ->
-                    let matched =
-                      List.exists
-                        (fun m ->
-                          Model.dump_excluding m ~exclude:quarantined = dump)
-                        st.trace
-                    in
-                    if not matched then
-                      fail
-                        "recovered state matches no model prefix \
-                         (quarantined: [%s])"
-                        (String.concat "," quarantined)
-                    else
-                      (* post-repair residue rule is absolute: repair
-                         scrubs every free block, so any sentinel not in
-                         a live record of the RECOVERED store (recovery
-                         may land at an earlier prefix, where a later-
-                         destroyed pd is still legitimately live) must
-                         be gone from the medium. *)
-                      let live_notes =
-                        match Dbfs.list_pds store2 ~actor type_name with
-                        | Error _ -> []
-                        | Ok ids ->
-                            List.filter_map
-                              (fun id ->
-                                match Dbfs.get_record store2 ~actor id with
-                                | Ok r -> (
-                                    match List.assoc_opt "note" r with
-                                    | Some (Value.VString s) -> Some s
-                                    | _ -> None)
-                                | Error _ -> None)
-                              ids
-                      in
-                      let bad =
-                        List.find_opt
-                          (fun (s, _) ->
-                            (not (List.mem s live_notes))
-                            && BD.scan dev2 s <> [])
-                          st.sentinels
-                      in
-                      (match bad with
-                      | Some (s, pd) ->
-                          fail "post-repair residue: sentinel %s of pd %s" s pd
-                      | None -> Ok (1 + List.length spec.fs_acts)))))
+  match verdict with
+  | Ok () -> Ok (1 + List.length spec.fs_acts)
+  | Error d -> Error (Printf.sprintf "%s [plan %s]" d plan_str)
 
 (* ------------------------------------------------------------------ *)
 (* degraded-mode law                                                  *)
@@ -820,6 +853,14 @@ let failure_to_string f =
     (script_to_string f.f_script)
     f.f_detail
 
+type sweep_row = {
+  sr_sweep : string;
+  sr_cfg : string;
+  sr_writes : int;
+  sr_crashed : int list;
+  sr_failed : int;
+}
+
 type report = {
   r_seed : int;
   r_scripts : int;
@@ -827,6 +868,7 @@ type report = {
   r_fault_points : int;
   r_crash_runs : int;
   r_lin_domains : int list;
+  r_sweeps : sweep_row list;
   r_failures : failure list;
 }
 
@@ -876,6 +918,146 @@ let find_counterexample ?bug ~seed ~max_scripts cfg =
           Some (lockstep_failure ?bug ~mode:"lockstep" ~seed cfg script d)
   in
   go 0
+
+(* ------------------------------------------------------------------ *)
+(* crash sweeps                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A crash-refinement run samples one crash point of a generated script;
+   a sweep crashes a fixed script after each of its writes in turn and
+   holds every point to the same crash rule. *)
+type sweep = {
+  sw_name : string;
+  sw_setup : script;  (* replayed fault-free: its writes are not crash points *)
+  sw_script : script;
+  sw_cfgs : cfg list;
+}
+
+(* The scripted GDPR day: four short-TTL collects, a consent flip, an
+   Art. 17 erasure, the clock past the short TTL, two long-TTL collects,
+   the TTL sweep and an Art. 15 access. *)
+let campaign_script =
+  List.init 4 (fun i -> Collect { subj = i; ki = i; ks = i; ttl = 1 })
+  @ [
+      Flip { pick = 0; grant = false };
+      Erase_subject { subj = 1 };
+      Advance { ns = 2 * short_ttl };
+      Collect { subj = 4; ki = 4; ks = 1; ttl = 2 };
+      Collect { subj = 5; ki = 0; ks = 2; ttl = 2 };
+      Ttl_sweep;
+      Access { subj = 4 };
+    ]
+
+(* Six collects, one erasure, then twelve rounds rewriting each of the
+   five survivors: enough churn that a sealed segment falls under 75 %
+   live, so the compaction pass has both relocation and destruction to
+   crash inside of. *)
+let churn_setup =
+  List.init 6 (fun i -> Collect { subj = i; ki = i; ks = i; ttl = 0 })
+  @ [ Erase_subject { subj = 0 } ]
+  @ List.concat
+      (List.init 12 (fun round ->
+           List.init 5 (fun pick -> Update { pick; ki = round + pick; ks = round })))
+
+let sweeps =
+  [
+    {
+      sw_name = "campaign";
+      sw_setup = [];
+      sw_script = campaign_script;
+      sw_cfgs = all_cfgs;
+    };
+    {
+      sw_name = "compact";
+      sw_setup = churn_setup;
+      sw_script = [ Compact ];
+      sw_cfgs = [ { base_cfg with segmented = true } ];
+    };
+  ]
+
+let crash_plan k =
+  let plan = BD.Fault_plan.create () in
+  BD.Fault_plan.crash_after_writes plan k;
+  plan
+
+let sweep_point sw cfg k =
+  match replay_under ~setup:sw.sw_setup cfg sw.sw_script (crash_plan k) with
+  | exception e ->
+      Error ("exception escaped the write path: " ^ Printexc.to_string e)
+  | _, None -> Error (Printf.sprintf "crash after write %d never fired" k)
+  | st, Some image -> check_recovered cfg st image
+
+(* The whole fixed script in lockstep on the sweep's first config, then
+   every crash point on every config.  Returns the comparisons that
+   passed, one row per config and the failures. *)
+let run_sweep ~seed sw =
+  let full = sw.sw_setup @ sw.sw_script in
+  let mode = "sweep:" ^ sw.sw_name in
+  let cfg0 = List.hd sw.sw_cfgs in
+  let lockstep =
+    match run_script cfg0 full with
+    | Ok n -> (n, [])
+    | Error d -> (0, [ lockstep_failure ~mode ~seed cfg0 full d ])
+  in
+  let point_failure cfg plan detail =
+    {
+      f_mode = mode;
+      f_cfg = cfg_to_string cfg;
+      f_plan = plan;
+      f_seed = seed;
+      f_spec_seed = 0;
+      f_script = full;
+      f_detail = detail;
+      f_shrunk_from = List.length full;
+    }
+  in
+  let per_cfg cfg =
+    let writes, _ = count_writes ~setup:sw.sw_setup cfg sw.sw_script in
+    let crashed = List.init writes (fun i -> i + 1) in
+    let fails =
+      List.filter_map
+        (fun k ->
+          match sweep_point sw cfg k with
+          | Ok () -> None
+          | Error d ->
+              Some
+                (point_failure cfg (BD.Fault_plan.to_string (crash_plan k)) d))
+        crashed
+    in
+    let row =
+      {
+        sr_sweep = sw.sw_name;
+        sr_cfg = cfg_to_string cfg;
+        sr_writes = writes;
+        sr_crashed = crashed;
+        sr_failed = List.length fails;
+      }
+    in
+    if writes = 0 then
+      (row, [ point_failure cfg "" "the script makes no writes to crash after" ])
+    else (row, fails)
+  in
+  let rows, fails = List.split (List.map per_cfg sw.sw_cfgs) in
+  let passed =
+    List.fold_left (fun acc r -> acc + List.length r.sr_crashed - r.sr_failed) 0 rows
+  in
+  (fst lockstep + passed, rows, snd lockstep @ List.concat fails)
+
+let sweep_points rows =
+  List.fold_left (fun acc r -> acc + List.length r.sr_crashed) 0 rows
+
+(* Write ordinals of 1..W never crashed after, plus crash points that
+   repeat or fall outside 1..W: 0 exactly when every row crashes after
+   each of its writes once. *)
+let uncovered_writes rows =
+  List.fold_left
+    (fun acc r ->
+      let crashed = List.sort_uniq compare r.sr_crashed in
+      let inside =
+        List.length (List.filter (fun k -> k >= 1 && k <= r.sr_writes) crashed)
+      in
+      acc + (r.sr_writes - inside) + (List.length r.sr_crashed - inside))
+    0 rows
 
 (* ------------------------------------------------------------------ *)
 (* linearizability                                                    *)
@@ -990,6 +1172,15 @@ let run ?(seed = 11) ?scripts () =
               crash_failure ~seed ~spec_seed cfg script d :: !failures)
       all_cfgs
   done;
+  let sweep_rows =
+    List.concat_map
+      (fun sw ->
+        let n, rows, fs = run_sweep ~seed sw in
+        checked := !checked + n;
+        failures := List.rev_append fs !failures;
+        rows)
+      sweeps
+  in
   List.iter
     (fun domains ->
       let n, fs = run_linearizability ~seed domains in
@@ -1003,8 +1194,22 @@ let run ?(seed = 11) ?scripts () =
     r_fault_points = !fault_points;
     r_crash_runs = !crash_runs;
     r_lin_domains = lin_domains;
+    r_sweeps = sweep_rows;
     r_failures = List.rev !failures;
   }
+
+(* Per sweep: its rows, crash points and failed points. *)
+let sweep_totals r =
+  List.map
+    (fun sw ->
+      let rows = List.filter (fun row -> row.sr_sweep = sw.sw_name) r.r_sweeps in
+      let failed = List.fold_left (fun acc row -> acc + row.sr_failed) 0 rows in
+      (sw.sw_name, rows, sweep_points rows, failed))
+    sweeps
+
+let sweep_conformance_pct ~points ~failed =
+  if points = 0 then 0.0
+  else 100.0 *. float_of_int (points - failed) /. float_of_int points
 
 let conformance_pct r =
   if r.r_failures = [] then 100.0
@@ -1045,6 +1250,24 @@ let to_json r =
       ("crash_configs", num (List.length all_cfgs));
       ("lin_domains", Json.List (List.map num r.r_lin_domains));
       ("cache_budgets", Json.List (List.map num budgets));
+      ( "sweeps",
+        Json.List
+          (List.map
+             (fun (name, rows, points, failed) ->
+               Json.Obj
+                 [
+                   ("name", Json.Str name);
+                   ("configs", num (List.length rows));
+                   ("points", num points);
+                   ("failures", num failed);
+                   ( "conformance_pct",
+                     Json.Num (sweep_conformance_pct ~points ~failed) );
+                   ( "writes",
+                     Json.Obj
+                       (List.map (fun row -> (row.sr_cfg, num row.sr_writes)) rows)
+                   );
+                 ])
+             (sweep_totals r)) );
       ("conformance_pct", Json.Num (conformance_pct r));
       ("all_pass", Json.Bool (all_pass r));
       ("failures", Json.List (List.map failure_obj r.r_failures));
@@ -1061,6 +1284,17 @@ let render r =
     (String.concat "/" (List.map string_of_int r.r_lin_domains));
   add "  cache budgets audited  : %s\n"
     (String.concat "/" (List.map string_of_int budgets));
+  List.iter
+    (fun (name, rows, points, failed) ->
+      let writes = List.map (fun row -> row.sr_writes) rows in
+      add "  crash sweep %-11s: %d points over %d configs (%d-%d writes), \
+           %d failures, %.2f%%\n"
+        name points (List.length rows)
+        (List.fold_left min max_int writes)
+        (List.fold_left max 0 writes)
+        failed
+        (sweep_conformance_pct ~points ~failed))
+    (sweep_totals r);
   add "  conformance            : %.2f%% (%d failures)\n" (conformance_pct r)
     (List.length r.r_failures);
   List.iter (fun f -> add "  %s\n" (failure_to_string f)) r.r_failures;

@@ -1,6 +1,6 @@
 (** The refinement harness: drives the real {!Rgpdos_dbfs.Dbfs} and the
     pure {!Model} in lockstep over generated op scripts and asserts
-    observational equivalence, in four modes:
+    observational equivalence, in five modes:
 
     - {b lockstep} — every op's result is compared as it executes, then
       the full state is audited (records, membranes, erasure envelopes,
@@ -14,6 +14,12 @@
       the model at {i some} micro-op prefix boundary (quarantined pds
       excluded on both sides), residue-free for every destroyed
       sentinel, and out of degraded mode;
+    - {b crash sweeps} — two fixed scripts crashed after each of their
+      writes in turn, every point held to the crash-refinement rule: a
+      scripted GDPR day (collects, consent flip, Art. 17 erasure, TTL
+      expiry and sweep, Art. 15 access) on every config in {!all_cfgs},
+      and one compaction pass after a fault-free churn setup on the
+      segmented store (group-commit window 1, queue depth 1);
     - {b linearizability} — disjoint per-shard scripts executed on 1/2/4
       domains must produce exactly the observables of their sequential
       execution (each shard is additionally lockstep-checked inside its
@@ -48,6 +54,10 @@ type op =
   | Access of { subj : int }         (** Art. 15 export comparison *)
   | Select_q of { q : int }
       (** run query [q mod pool] under both planner paths *)
+  | Compact
+      (** one compaction pass ([max_victims] 16, [liveness_pct] 75); a
+          no-op on the model, since compaction changes no observable.
+          Never generated: only the compaction sweep uses it. *)
 
 type script = op list
 
@@ -104,7 +114,9 @@ val check_degraded : script -> (unit, string) result
 (** {1 Campaign} *)
 
 type failure = {
-  f_mode : string;  (** "lockstep" | "crash" | "linearizability" | ... *)
+  f_mode : string;
+      (** "lockstep" | "crash" | "linearizability" | "sweep:campaign" |
+          "sweep:compact" *)
   f_cfg : string;
   f_plan : string;  (** rendered fault plan, [""] outside crash mode *)
   f_seed : int;
@@ -116,6 +128,22 @@ type failure = {
 
 val failure_to_string : failure -> string
 
+type sweep_row = {
+  sr_sweep : string;  (** ["campaign"] or ["compact"] *)
+  sr_cfg : string;
+  sr_writes : int;  (** W: the writes the swept script makes, fault-free *)
+  sr_crashed : int list;  (** write ordinals crashed after: 1..W *)
+  sr_failed : int;  (** crash points that broke the crash rule *)
+}
+(** One config of one crash sweep. *)
+
+val sweep_points : sweep_row list -> int
+(** Crash points over the rows. *)
+
+val uncovered_writes : sweep_row list -> int
+(** Write ordinals of 1..W never crashed after, plus crash points that
+    repeat or fall outside 1..W, summed over the rows. *)
+
 type report = {
   r_seed : int;
   r_scripts : int;
@@ -123,13 +151,15 @@ type report = {
   r_fault_points : int;
   r_crash_runs : int;
   r_lin_domains : int list;
+  r_sweeps : sweep_row list;  (** both crash sweeps, one row per config *)
   r_failures : failure list;
 }
 
 val run : ?seed:int -> ?scripts:int -> unit -> report
 (** The full campaign: [scripts] generated scripts (default: the
     [QCHECK_COUNT] environment variable, else 4), each run in lockstep +
-    coherence mode and in crash mode across {!all_cfgs}, plus one
+    coherence mode and in crash mode across {!all_cfgs}, both crash
+    sweeps (each fixed script also run once in lockstep), plus one
     linearizability pass at 1/2/4 domains.  Deterministic in [seed]. *)
 
 val find_counterexample :

@@ -260,12 +260,6 @@ let pinned_gates =
     "index speedup_1pct: >= 10; >= committed -25%";
     "index ttl_speedup_largest: >= 2";
     "index min_select_sim_ns: >= 0";
-    "fault pass_rate_pct: >= 100";
-    "fault total_writes: > 0";
-    "fault crash_points: > 0";
-    "fault uncovered_writes: = 0";
-    "fault scenarios: > 0";
-    "fault failed_scenarios: = 0";
     "model conformance_pct: >= 100";
     "model scripts: > 0";
     "model ops_checked: > 0";
@@ -274,6 +268,8 @@ let pinned_gates =
     "model crash_configs: = 18";
     "model crash_runs_per_config: >= 1";
     "model lin_domains_1_2_4: = 1";
+    "model sweep_points: > 0";
+    "model sweep_uncovered_writes: = 0";
     "model failures: = 0";
     "model all_pass: = 1";
     "model cache_budgets: = 3";

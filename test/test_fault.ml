@@ -1,10 +1,10 @@
 (* Fault injection, crash recovery and self-healing: the programmable
-   fault plan on the block device, DBFS checksum/quarantine/degraded-mode
-   behaviour, and the deterministic crash-point campaign. *)
+   fault plan on the block device and DBFS checksum/quarantine/
+   degraded-mode behaviour.  Crashing a scripted workload after each of
+   its writes is Refine's crash sweep (test_model). *)
 
 module Clock = Rgpdos_util.Clock
 module Prng = Rgpdos_util.Prng
-module Json = Rgpdos_util.Json
 module Stats = Rgpdos_util.Stats
 module Block_device = Rgpdos_block.Block_device
 module Fault_plan = Block_device.Fault_plan
@@ -12,8 +12,6 @@ module Dbfs = Rgpdos_dbfs.Dbfs
 module Membrane = Rgpdos_membrane.Membrane
 module Machine = Rgpdos.Machine
 module Population = Rgpdos_workload.Population
-module FC = Rgpdos_workload.Fault_campaign
-module BR = Rgpdos_workload.Bench_report
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -146,31 +144,6 @@ let test_bit_flip_action () =
   (* 'A' = 0x41; bit 0 flipped -> 0x40 = '@' *)
   Block_device.set_fault_plan dev None;
   check_string "one bit flipped" "@" (String.sub (Block_device.read dev 6) 0 1)
-
-(* same seed => same schedule: two identical devices running the same
-   writes under two identically seeded random plans end up bit-identical
-   and fail at the same ops *)
-let test_random_plan_deterministic () =
-  let run () =
-    let dev, _ = make_dev () in
-    let plan =
-      Fault_plan.random
-        ~prng:(Prng.create ~seed:99L ())
-        ~writes:20 ~faults:6
-        ~block_count:small_config.Block_device.block_count ()
-    in
-    Block_device.set_fault_plan dev (Some plan);
-    let failures = ref [] in
-    for i = 1 to 20 do
-      try Block_device.write dev (i mod 32) (Printf.sprintf "w%02d" i)
-      with Block_device.Faulted _ -> failures := i :: !failures
-    done;
-    Block_device.set_fault_plan dev None;
-    (Block_device.snapshot dev, !failures)
-  in
-  let snap1, fails1 = run () and snap2, fails2 = run () in
-  check_bool "same medium state" true (snap1 = snap2);
-  Alcotest.(check (list int)) "same failing ops" fails1 fails2
 
 (* ------------------------------------------------------------------ *)
 (* DBFS self-healing                                                   *)
@@ -326,99 +299,60 @@ let test_remount_error_on_corrupt_superblock () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "mounted a device with a destroyed superblock"
 
-(* ------------------------------------------------------------------ *)
-(* the campaign itself                                                 *)
-
-let campaign = lazy (FC.run ~seed:5 ~subjects:4 ())
-
-let test_campaign_exhaustive_all_invariants () =
-  let r = Lazy.force campaign in
-  check_bool "workload produced writes" true (r.FC.fc_total_writes > 0);
-  check_bool "not sampled" false r.FC.fc_sampled;
-  check_int "every write op crashed exactly once" r.FC.fc_total_writes
-    (List.length r.FC.fc_points);
-  Alcotest.(check (list int))
-    "ordinals cover 1..W"
-    (List.init r.FC.fc_total_writes (fun i -> i + 1))
-    (List.map (fun p -> p.FC.cp_write) r.FC.fc_points |> List.sort compare);
-  List.iter
-    (fun p ->
-      let ctx = Printf.sprintf "write %d (%s)" p.FC.cp_write p.FC.cp_step in
-      check_bool (ctx ^ ": residue-free") true p.FC.cp_residue_free;
-      check_bool (ctx ^ ": audit verifiable") true p.FC.cp_audit_ok;
-      check_bool (ctx ^ ": fsck clean after repair") true p.FC.cp_fsck_clean)
-    r.FC.fc_points;
-  Alcotest.(check (float 0.001)) "pass rate" 100.0 (FC.pass_rate_pct r);
-  List.iter
-    (fun s ->
-      check_bool ("scenario " ^ s.FC.sc_name ^ ": " ^ s.FC.sc_detail) true
-        s.FC.sc_pass)
-    r.FC.fc_scenarios;
-  check_bool "all_pass agrees" true (FC.all_pass r)
-
-let test_campaign_deterministic () =
-  let r1 = Lazy.force campaign in
-  let r2 = FC.run ~seed:5 ~subjects:4 () in
-  check_string "same seed => byte-identical report"
-    (Json.to_string (FC.to_json r1))
-    (Json.to_string (FC.to_json r2))
-
-let test_campaign_sampling_caps_points () =
-  let r = FC.run ~seed:5 ~subjects:4 ~max_points:5 () in
-  check_bool "sampled flag set" true r.FC.fc_sampled;
-  check_bool "at most the cap" true (List.length r.FC.fc_points <= 5);
-  check_bool "last write always covered" true
-    (List.exists
-       (fun p -> p.FC.cp_write = r.FC.fc_total_writes)
-       r.FC.fc_points)
-
-let fault = BR.Section Rgpdos_bench.Sections.fault
-
-let test_committed_artifact_validates () =
-  let path =
-    if Sys.file_exists "BENCH_fault_campaign.json" then
-      "BENCH_fault_campaign.json"
-    else "../BENCH_fault_campaign.json"
+(* Bit rot in an on-device index node page: after a checkpoint the paged
+   trees are the durable index, so a cold remount must hit the page's
+   checksum, fsck must name it, and repair must rebuild the trees with the
+   same facts as before and leave no residue of the damaged page. *)
+let test_index_page_rot_detected_and_rebuilt () =
+  let m, _ = boot_machine () in
+  let store0 = Machine.dbfs m in
+  Dbfs.checkpoint store0;
+  let before = Dbfs.index_dump store0 in
+  (* enumerate a node page while warm: the cold store must first see the
+     damage through its empty page cache, never a stale copy *)
+  let block =
+    match Dbfs.index_page_blocks store0 with
+    | (b, _) :: _ -> b
+    | [] -> Alcotest.fail "no index node pages after checkpoint"
   in
-  match BR.read_file fault path with
-  | Error e -> Alcotest.failf "cannot read %s: %s" path e
-  | Ok report -> (
-      match BR.validate fault report with
-      | [] -> ()
-      | e -> Alcotest.failf "committed artifact invalid: %s" (String.concat "; " e))
+  let store = cold_remount store0 in
+  let dev = Dbfs.device store in
+  Block_device.unsafe_flip dev ~block ~byte:8 ~bit:5;
+  (match Dbfs.fsck store with
+  | Ok () -> Alcotest.fail "fsck missed the rotten index page"
+  | Error problems ->
+      (* the paged-tree checksum note, not a derived symptom *)
+      check_bool "fsck names the index page" true
+        (List.exists (String.starts_with ~prefix:"index page") problems));
+  let rep = Dbfs.fsck_repair store in
+  check_bool "clean after rebuild" true rep.Dbfs.rr_clean;
+  check_string "index facts unchanged" before (Dbfs.index_dump store);
+  check_string "index matches a from-scratch rebuild"
+    (Dbfs.rebuilt_index_dump store) (Dbfs.index_dump store);
+  (* the repair checkpoint returned the damaged block to the zeroed
+     stale half *)
+  check_string "damaged page zeroed"
+    (String.make (Block_device.config dev).Block_device.block_size '\000')
+    (Block_device.read dev block)
 
-let test_validate_rejects_failures () =
-  let r = Lazy.force campaign in
-  let verdict result =
-    BR.validate fault
-      (BR.measure Rgpdos_bench.Sections.fault ~quick:true ~wall_ms:0.0 result)
+(* A torn vectored write (nothing persisted, no acknowledgement) must be
+   retried to success by the write path. *)
+let test_torn_write_retried () =
+  let m, people = boot_machine () in
+  let stats () = Dbfs.stats (Machine.dbfs m) in
+  let before = Stats.Counter.get (stats ()) "fault_retries" in
+  let plan = Fault_plan.create () in
+  Fault_plan.on_write plan ~nth:1 (Fault_plan.Torn_write { keep_runs = 0 });
+  Block_device.set_fault_plan (Machine.pd_device m) (Some plan);
+  let flip =
+    Machine.set_consent m
+      ~subject:(List.hd people).Population.subject_id
+      ~purpose:"marketing" Membrane.Denied
   in
-  check_bool "fresh report validates" true (verdict r = []);
-  (* flip one scenario to failing: validation must reject *)
-  let broken =
-    {
-      r with
-      FC.fc_scenarios =
-        { FC.sc_name = "forced"; sc_pass = false; sc_detail = "x" }
-        :: r.FC.fc_scenarios;
-    }
-  in
-  check_bool "failed scenario rejected" true (verdict broken <> []);
-  (* a sampled run claiming exhaustiveness must also be rejected *)
-  let holey =
-    { r with FC.fc_points = List.tl r.FC.fc_points; fc_sampled = false }
-  in
-  check_bool "missing crash point rejected" true (verdict holey <> []);
-  (* one failed invariant at one crash point drops the pass rate *)
-  let dirty =
-    {
-      r with
-      FC.fc_points =
-        { (List.hd r.FC.fc_points) with FC.cp_residue_free = false }
-        :: List.tl r.FC.fc_points;
-    }
-  in
-  check_bool "sub-100% pass rate rejected" true (verdict dirty <> [])
+  Block_device.set_fault_plan (Machine.pd_device m) None;
+  check_bool "consent flip succeeds" true (Result.is_ok flip);
+  check_bool "the torn write was retried" true
+    (Stats.Counter.get (stats ()) "fault_retries" > before)
 
 let () =
   Alcotest.run "fault-injection"
@@ -438,8 +372,6 @@ let () =
           Alcotest.test_case "torn write keeps prefix runs" `Quick
             test_torn_write_keeps_prefix_runs;
           Alcotest.test_case "bit-flip action" `Quick test_bit_flip_action;
-          Alcotest.test_case "random plan deterministic" `Quick
-            test_random_plan_deterministic;
         ] );
       ( "self-heal",
         [
@@ -453,18 +385,8 @@ let () =
             test_degraded_mode_read_only;
           Alcotest.test_case "remount fails on dead superblock" `Quick
             test_remount_error_on_corrupt_superblock;
-        ] );
-      ( "campaign",
-        [
-          Alcotest.test_case "exhaustive, all invariants hold" `Slow
-            test_campaign_exhaustive_all_invariants;
-          Alcotest.test_case "deterministic report" `Slow
-            test_campaign_deterministic;
-          Alcotest.test_case "sampling caps points" `Quick
-            test_campaign_sampling_caps_points;
-          Alcotest.test_case "committed artifact validates" `Quick
-            test_committed_artifact_validates;
-          Alcotest.test_case "validation rejects failures" `Quick
-            test_validate_rejects_failures;
+          Alcotest.test_case "index page rot detected + rebuilt" `Quick
+            test_index_page_rot_detected_and_rebuilt;
+          Alcotest.test_case "torn write retried" `Quick test_torn_write_retried;
         ] );
     ]

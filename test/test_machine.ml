@@ -704,6 +704,62 @@ let test_audit_persistence () =
   check_bool "tampered file rejected" true
     (Result.is_error (Machine.verify_persisted_audit m))
 
+(* The audit chain stays verifiable through a scripted GDPR day: collect,
+   consent flip, erasure, two years of ageing, fresh collects, TTL sweep,
+   access.  The chain lives in memory and on the NPD filesystem, so a
+   crash of the PD device cannot reach it; this pins its integrity at
+   every step and after persistence. *)
+let test_audit_chain_every_step () =
+  let module Population = Rgpdos_workload.Population in
+  let small n = { Block_device.default_config with block_size = 512; block_count = n } in
+  let m =
+    Machine.boot ~seed:7L ~pd_device:(small 4_096) ~npd_device:(small 2_048) ()
+  in
+  ignore (ok (Machine.load_declarations m Population.type_declaration));
+  let people = Population.generate (Prng.create ~seed:7L ()) ~n:6 in
+  let aged = List.filteri (fun i _ -> i < 4) people in
+  let fresh = List.filteri (fun i _ -> i >= 4) people in
+  let subj (p : Population.person) = p.Population.subject_id in
+  let collect (p : Population.person) =
+    ignore
+      (ok
+         (Machine.collect m ~type_name:Population.type_name ~subject:(subj p)
+            ~interface:"web_form" ~record:(Population.record_of p)
+            ~consents:p.Population.consent_profile ()))
+  in
+  let steps =
+    [
+      ("collect", fun () -> List.iter collect aged);
+      ( "consent-flip",
+        fun () ->
+          ignore
+            (ok
+               (Machine.set_consent m ~subject:(subj (List.hd aged))
+                  ~purpose:"marketing" Membrane.Denied)) );
+      ( "erase",
+        fun () -> ignore (ok (Machine.right_to_erasure m ~subject:(subj (List.nth aged 1))))
+      );
+      ("age", fun () -> Clock.advance (Machine.clock m) ((2 * Clock.year) + Clock.day));
+      ("collect-fresh", fun () -> List.iter collect fresh);
+      ("ttl-sweep", fun () -> ignore (Machine.sweep_ttl m ()));
+      ( "access",
+        fun () -> ignore (ok (Machine.right_of_access m ~subject:(subj (List.hd fresh))))
+      );
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      run ();
+      match Audit_log.of_bytes (Audit_log.to_bytes (Machine.audit m)) with
+      | Error e -> Alcotest.failf "%s: chain does not decode: %s" name e
+      | Ok log ->
+          check_bool (name ^ ": chain verifies") true (Audit_log.verify log = Ok ()))
+    steps;
+  ok (Machine.persist_audit m);
+  check_int "persisted chain verifies in full"
+    (Audit_log.length (Machine.audit m))
+    (ok (Machine.verify_persisted_audit m))
+
 let test_machine_jobs_and_repartition () =
   let m, _, _, _ = boot_with_users () in
   for i = 0 to 9 do
@@ -976,6 +1032,8 @@ let () =
             test_machine_jobs_and_repartition;
           Alcotest.test_case "audit persistence on NPD fs" `Quick
             test_audit_persistence;
+          Alcotest.test_case "audit chain every step" `Quick
+            test_audit_chain_every_step;
         ] );
       ( "consent-receipts",
         [

@@ -3,7 +3,8 @@
    the real DBFS observationally equal to the model, on both
    allocators, with the index/cache-coherence audit riding along), the
    crash-refinement and degraded-mode laws, the full campaign
-   (linearizability at 1/2/4 domains included), the injected-bug
+   (linearizability at 1/2/4 domains and the two crash sweeps included,
+   byte-deterministic in its seed), the injected-bug
    demonstration (a deliberately broken DBFS shim is caught with a
    shrunk, replayable counterexample), and the BENCH_model_check.json
    artifact machinery (absolute conformance gate included). *)
@@ -173,8 +174,11 @@ let test_crash_matrix () =
       | Error e -> Alcotest.failf "crash refinement (%s): %s" (RF.cfg_to_string cfg) e)
     RF.all_cfgs
 
+(* One full run, shared by the campaign and artifact tests. *)
+let full_run = lazy (RF.run ~seed:11 ~scripts:2 ())
+
 let test_campaign () =
-  let r = RF.run ~seed:7 ~scripts:2 () in
+  let r = Lazy.force full_run in
   check_bool "campaign passes" true (RF.all_pass r);
   Alcotest.(check (float 0.0)) "conformance 100" 100.0 (RF.conformance_pct r);
   check_int "scripts" 2 r.RF.r_scripts;
@@ -183,6 +187,36 @@ let test_campaign () =
     (r.RF.r_crash_runs = 2 * List.length RF.all_cfgs);
   check_bool "fault points exercised" true (r.RF.r_fault_points > 0);
   check_bool "observables compared" true (r.RF.r_ops_checked > 100)
+
+(* Both sweeps crash after every write of their script, on every config,
+   and every point recovers to a model prefix with no residue. *)
+let test_sweeps_exhaustive () =
+  let r = Lazy.force full_run in
+  let rows name = List.filter (fun row -> row.RF.sr_sweep = name) r.RF.r_sweeps in
+  check_strings "campaign sweep runs on every config"
+    (List.map RF.cfg_to_string RF.all_cfgs)
+    (List.map (fun row -> row.RF.sr_cfg) (rows "campaign"));
+  check_strings "compaction sweep runs on the segmented store"
+    [ RF.cfg_to_string { RF.base_cfg with RF.segmented = true } ]
+    (List.map (fun row -> row.RF.sr_cfg) (rows "compact"));
+  List.iter
+    (fun row ->
+      let ctx = row.RF.sr_sweep ^ " " ^ row.RF.sr_cfg in
+      check_bool (ctx ^ ": the script writes") true (row.RF.sr_writes > 0);
+      Alcotest.(check (list int))
+        (ctx ^ ": crashed after every write 1..W")
+        (List.init row.RF.sr_writes (fun i -> i + 1))
+        row.RF.sr_crashed;
+      check_int (ctx ^ ": no point failed") 0 row.RF.sr_failed)
+    r.RF.r_sweeps;
+  check_int "nothing uncovered" 0 (RF.uncovered_writes r.RF.r_sweeps)
+
+let test_deterministic_report () =
+  let r1 = Lazy.force full_run in
+  let r2 = RF.run ~seed:11 ~scripts:2 () in
+  check_string "same seed => byte-identical report"
+    (Json.to_string (RF.to_json r1))
+    (Json.to_string (RF.to_json r2))
 
 (* ------------------------------------------------------------------ *)
 (* the harness catches an injected semantic bug                       *)
@@ -217,7 +251,7 @@ let test_injected_bug_caught_and_shrunk () =
 let model = BR.Section Rgpdos_bench.Sections.model
 
 let test_report_roundtrip () =
-  let r = RF.run ~seed:11 ~scripts:2 () in
+  let r = Lazy.force full_run in
   let j = BR.measure Rgpdos_bench.Sections.model ~quick:true ~wall_ms:12.0 r in
   (match BR.validate model j with
   | [] -> ()
@@ -243,7 +277,39 @@ let test_report_roundtrip () =
   check_bool "100% on both sides passes" true
     (BR.compare model ~committed:j ~fresh:j = [])
 
-let test_committed_artifact () =
+(* The sweep gates bite: a crash point gone from a sweep, a failed point,
+   or no sweep at all each fail validation. *)
+let test_sweep_gates_reject () =
+  let r = Lazy.force full_run in
+  let verdict r =
+    BR.validate model
+      (BR.measure Rgpdos_bench.Sections.model ~quick:true ~wall_ms:0.0 r)
+  in
+  check_bool "fresh report validates" true (verdict r = []);
+  let holey =
+    match r.RF.r_sweeps with
+    | row :: rest -> { row with RF.sr_crashed = List.tl row.RF.sr_crashed } :: rest
+    | [] -> Alcotest.fail "no sweep rows"
+  in
+  check_bool "missing crash point rejected" true
+    (verdict { r with RF.r_sweeps = holey } <> []);
+  let failed =
+    {
+      RF.f_mode = "sweep:campaign";
+      f_cfg = RF.cfg_to_string RF.base_cfg;
+      f_plan = "plan{crash@1}";
+      f_seed = 11;
+      f_spec_seed = 0;
+      f_script = [];
+      f_detail = "forced";
+      f_shrunk_from = 0;
+    }
+  in
+  check_bool "failed crash point rejected" true
+    (verdict { r with RF.r_failures = [ failed ] } <> []);
+  check_bool "no sweep rejected" true (verdict { r with RF.r_sweeps = [] } <> [])
+
+let committed_report () =
   let path =
     List.find_opt Sys.file_exists
       [ "../BENCH_model_check.json"; "BENCH_model_check.json" ]
@@ -251,11 +317,54 @@ let test_committed_artifact () =
   match Option.map (BR.read_file model) path with
   | None -> Alcotest.fail "BENCH_model_check.json missing"
   | Some (Error e) -> Alcotest.failf "BENCH_model_check.json: %s" e
-  | Some (Ok v) -> (
-      match BR.validate model v with
-      | [] -> ()
-      | e ->
-          Alcotest.failf "BENCH_model_check.json invalid: %s" (String.concat "; " e))
+  | Some (Ok v) -> v
+
+let test_committed_artifact () =
+  match BR.validate model (committed_report ()) with
+  | [] -> ()
+  | e -> Alcotest.failf "BENCH_model_check.json invalid: %s" (String.concat "; " e)
+
+(* The committed sweep rows describe the sweeps this code runs: the
+   swept scripts are fixed, so each (sweep, config) pair and its write
+   count W must match a fresh run, with every point crashed and none
+   failed. *)
+let test_campaign_committed_artifact () =
+  let r = Lazy.force full_run in
+  let num k j = Option.bind (Json.member k j) Json.to_float in
+  let sweeps =
+    match
+      Option.bind (Json.member "sweeps" (committed_report ()).BR.detail) Json.to_list
+    with
+    | Some l -> l
+    | None -> Alcotest.fail "committed artifact has no sweeps"
+  in
+  let committed =
+    List.concat_map
+      (fun sw ->
+        let name = Option.value ~default:"?" (Option.bind (Json.member "name" sw) Json.to_str) in
+        Alcotest.(check (option (float 0.0))) (name ^ ": no failed point") (Some 0.0)
+          (num "failures" sw);
+        Alcotest.(check (option (float 0.0))) (name ^ ": conformance 100") (Some 100.0)
+          (num "conformance_pct" sw);
+        let writes =
+          match Json.member "writes" sw with
+          | Some (Json.Obj kv) ->
+              List.map
+                (fun (cfg, w) ->
+                  (name, cfg, int_of_float (Option.value ~default:(-1.0) (Json.to_float w))))
+                kv
+          | _ -> Alcotest.failf "%s: no per-config writes" name
+        in
+        Alcotest.(check (option (float 0.0))) (name ^ ": points = sum of W")
+          (Some (float_of_int (List.fold_left (fun a (_, _, w) -> a + w) 0 writes)))
+          (num "points" sw);
+        writes)
+      sweeps
+  in
+  Alcotest.(check (list (triple string string int)))
+    "committed sweeps match a fresh run"
+    (List.map (fun row -> (row.RF.sr_sweep, row.RF.sr_cfg, row.RF.sr_writes)) r.RF.r_sweeps)
+    committed
 
 let () =
   Alcotest.run "model"
@@ -274,7 +383,17 @@ let () =
       ( "crash",
         [ Alcotest.test_case "config matrix" `Quick test_crash_matrix ] );
       ( "campaign",
-        [ Alcotest.test_case "full run" `Quick test_campaign ] );
+        [
+          Alcotest.test_case "full run" `Quick test_campaign;
+          Alcotest.test_case "exhaustive, all invariants hold" `Quick
+            test_sweeps_exhaustive;
+          Alcotest.test_case "deterministic report" `Quick
+            test_deterministic_report;
+          Alcotest.test_case "validation rejects failures" `Quick
+            test_sweep_gates_reject;
+          Alcotest.test_case "committed artifact validates" `Quick
+            test_campaign_committed_artifact;
+        ] );
       ( "injected-bug",
         [
           Alcotest.test_case "caught, shrunk, replayable" `Quick
